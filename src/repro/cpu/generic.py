@@ -2,9 +2,10 @@
 
 These are the float64, natural-log-space implementations of the Plan-7
 local search model - the unquantized ground truth the filters approximate,
-and the engine behind the pipeline's final Forward stage.  The recurrence
-uses the same node convention as the word profile: ``enter_*[j]`` is the
-cost of reaching node ``j`` from node ``j-1``.
+and the oracle for the batched odds-space Forward
+(:mod:`repro.cpu.forward_batch`) behind the pipeline's final stage.  The
+recurrence uses the same node convention as the word profile:
+``enter_*[j]`` is the cost of reaching node ``j`` from node ``j-1``.
 
 The within-row Delete chain (max-plus for Viterbi, log-sum-exp for
 Forward) is vectorized with a cumulative-transform trick: with

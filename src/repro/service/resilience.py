@@ -89,6 +89,13 @@ _CPU_STAGE_SCORERS: dict[str, Callable[..., FilterScores]] = {
 }
 
 
+def _reference_scorer(name: str) -> Callable[..., FilterScores]:
+    scorer = _CPU_STAGE_SCORERS.get(name)
+    if scorer is None:
+        raise PipelineError(f"no CPU reference scorer for stage {name!r}")
+    return scorer
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Knobs of the degradation ladder and the device health machine.
@@ -454,9 +461,7 @@ class ResilientExecutor:
                 elapsed, device_index=slot.index,
             )
             if self.policy.verify_shards:
-                self._verify_shard(
-                    name, kernel, profile, chunk, part, slot, spec, config
-                )
+                self._verify_shard(name, profile, chunk, part, slot)
             slot.record(len(chunk), chunk.total_residues, c)
             if counters is not None:
                 counters.merge(c)
@@ -464,29 +469,25 @@ class ResilientExecutor:
         finally:
             slot.release()
 
-    def _verify_shard(
-        self, name, kernel, profile, chunk, part, slot, spec, config
-    ) -> None:
-        """Cheap shard checksum: re-score a 3-row probe and compare.
+    def _verify_shard(self, name, profile, chunk, part, slot) -> None:
+        """Cheap shard checksum: score a 3-row probe on the CPU and compare.
 
-        Kernels are deterministic and score sequences independently, so
-        any honest shard reproduces its probe rows exactly; a corrupted
-        shard (scores biased, overflow flags flipped) cannot.  Probe
-        counters are deliberately not merged - verification overhead is
-        not device work.
+        Every engine is bit-identical to the stage's reference scorer and
+        scores sequences independently, so an honest shard reproduces the
+        reference on its probe rows exactly; a corrupted shard (scores
+        biased, overflow flags flipped) or a deterministic but wrong
+        kernel cannot - a second launch of the same kernel would agree
+        with the latter.
         """
         n = len(chunk)
         idx = sorted({0, n // 2, n - 1})
-        probe = kernel(
-            profile, chunk.subset(idx), device=spec,
-            counters=KernelCounters(), config=config,
-        )
+        probe = _reference_scorer(name)(profile, chunk.subset(idx))
         if not np.array_equal(probe.scores, part.scores[idx]) or not (
             np.array_equal(probe.overflowed, part.overflowed[idx])
         ):
             raise ShardIntegrityError(
                 f"shard checksum mismatch on device {slot.index}: "
-                f"recomputed probe rows {idx} disagree with the "
+                f"reference probe rows {idx} disagree with the "
                 "returned scores"
             )
 
@@ -530,11 +531,7 @@ class ResilientExecutor:
     def _cpu_scores(
         self, name: str, profile, database: SequenceDatabase
     ) -> FilterScores:
-        scorer = _CPU_STAGE_SCORERS.get(name)
-        if scorer is None:
-            raise PipelineError(
-                f"no CPU fallback scorer for stage {name!r}"
-            )
+        scorer = _reference_scorer(name)
         with span(
             self.tracer, f"{name}@cpu_fallback", "kernel",
             stage=name, engine="cpu_sse",

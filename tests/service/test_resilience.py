@@ -310,18 +310,36 @@ class TestShardVerification:
             sort=True, counters=KernelCounters(),
             config=MemoryConfig.SHARED,
         )
-        ex._verify_shard(
-            "msv", msv_warp_kernel, bp, db, part, pool.slots[0],
-            KEPLER_K40, MemoryConfig.SHARED,
-        )
+        ex._verify_shard("msv", bp, db, part, pool.slots[0])
         corrupted = FilterScores(
             scores=part.scores + 3.25, overflowed=~part.overflowed
         )
         with pytest.raises(ShardIntegrityError, match="checksum mismatch"):
-            ex._verify_shard(
-                "msv", msv_warp_kernel, bp, db, corrupted, pool.slots[0],
-                KEPLER_K40, MemoryConfig.SHARED,
+            ex._verify_shard("msv", bp, db, corrupted, pool.slots[0])
+
+    def test_wrong_kernel_fails_probe_and_degrades_to_cpu(
+        self, workload, baseline, monkeypatch
+    ):
+        # deterministic but wrong: a probe that re-launches the kernel
+        # agrees with it, the reference scorer does not
+        import repro.kernels.msv_warp as msv_warp
+
+        def off_by_one(profile, database, **kw):
+            part = msv_warp_kernel(profile, database, **kw)
+            return FilterScores(
+                scores=part.scores + 1.0, overflowed=part.overflowed
             )
+
+        monkeypatch.setattr(msv_warp, "msv_warp_kernel", off_by_one)
+        service, (job,) = run_with_plan(workload, FaultPlan([]))
+        stats = service.metrics.resilience
+        assert job.state is JobState.DONE
+        assert job.fallback_engine is None
+        assert set(stats.fault_counts) == {"corrupt"}
+        assert stats.cpu_shard_fallbacks >= 1
+        msv_events = [e.kind for e in stats.events if e.stage == "msv"]
+        assert msv_events[-1] == "cpu_fallback"
+        assert_same_hits(job.results, baseline)
 
 
 @pytest.mark.faults
