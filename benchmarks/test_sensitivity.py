@@ -11,7 +11,12 @@ databases with planted homologs of every benchmarked size.
 
 import numpy as np
 
-from repro import Engine, HmmsearchPipeline, homolog_database, paper_hmm
+from repro import (
+    HmmsearchPipeline,
+    SearchOptions,
+    homolog_database,
+    paper_hmm,
+)
 
 from conftest import write_table
 
@@ -70,7 +75,7 @@ def test_gpu_pipeline_same_sensitivity(results_dir):
         hmm, L=220, calibration_filter_sample=150,
         calibration_forward_sample=40,
     )
-    gpu_results = pipe.search(db, engine=Engine.GPU_WARP)
+    gpu_results = pipe.search(db, SearchOptions(engine="gpu_warp"))
     lost, total = pipe.filter_loss(db, gpu_results)
     assert total > 0
     assert lost == 0

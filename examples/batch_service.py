@@ -35,12 +35,12 @@ import numpy as np
 from repro import (
     BatchSearchService,
     DevicePool,
-    Engine,
+    DurableRunJournal,
     FaultPlan,
     PipelineSettings,
     RecordQuarantine,
-    RunJournal,
     SALVAGE,
+    SearchOptions,
     read_fasta,
     sample_hmm,
     swissprot_like,
@@ -67,7 +67,8 @@ def main(selfcheck: int = 0) -> None:
     )
 
     service = BatchSearchService(
-        pool=DevicePool.heterogeneous(2, 2), selfcheck=selfcheck
+        pool=DevicePool.heterogeneous(2, 2),
+        options=SearchOptions(selfcheck=selfcheck),
     )
     print(f"service: {service.pool.name}, cache for "
           f"{service.cache.max_entries} pipelines"
@@ -78,7 +79,7 @@ def main(selfcheck: int = 0) -> None:
         for name, hmm in families.items():
             service.submit(hmm, databases[name], settings=settings)
     for name, hmm in families.items():
-        service.submit(hmm, databases[name], engine=Engine.CPU_SSE,
+        service.submit(hmm, databases[name], engine="cpu_sse",
                        settings=settings)
         service.submit(hmm, databases[name], priority=10, settings=settings)
 
@@ -96,14 +97,16 @@ def main(selfcheck: int = 0) -> None:
     print("-" * 11)
     hmm = families["globin-like"]
     db = databases["globin-like"]
-    clean = service.cache.get(hmm, settings).search(db, engine=Engine.CPU_SSE)
+    clean = service.cache.get(hmm, settings).search(
+        db, SearchOptions(engine="cpu_sse")
+    )
     drill = BatchSearchService(pool=DevicePool.homogeneous(count=2))
     drill.pool.slots[0].inject_fault()
     job = drill.submit(hmm, db, settings=settings)
     drill.run()
     if env_plan is None:
         # legacy path: the whole job degrades to the CPU engine
-        assert job.fallback_engine is Engine.CPU_SSE
+        assert job.fallback_engine.value == "cpu_sse"
     assert job.results.hit_names() == clean.hit_names()
     print(f"{job.job_id}: LaunchError on dev0 -> recovered on "
           f"{job.effective_engine.value}, {job.attempts} attempt(s), "
@@ -139,10 +142,10 @@ def main(selfcheck: int = 0) -> None:
     print("\ncheckpoint/resume drill")
     print("-" * 23)
     with tempfile.TemporaryDirectory() as tmp:
-        jpath = Path(tmp) / "run.jsonl"
+        jpath = Path(tmp) / "run.wal"
         first = BatchSearchService(
             pool=DevicePool.heterogeneous(2, 2),
-            journal=RunJournal(jpath, resume=False),
+            journal=DurableRunJournal(jpath, resume=False),
         )
         for name, fam in families.items():
             first.submit(fam, databases[name], settings=settings,
@@ -151,14 +154,16 @@ def main(selfcheck: int = 0) -> None:
         done_job = first.scheduler.execute(first.queue.pop())
         print(f"'crash' after {done_job.job_id}: journal holds "
               f"{len(first.journal)} of 2 jobs")
+        first.journal.close()
         second = BatchSearchService(
             pool=DevicePool.heterogeneous(2, 2),
-            journal=RunJournal(jpath, resume=True),
+            journal=DurableRunJournal(jpath, resume=True),
         )
         for name, fam in families.items():
             second.submit(fam, databases[name], settings=settings,
                           job_id=f"demo-{name}")
         second.run()
+        second.journal.close()
         assert second.metrics.resumed_jobs == 1
         assert second.metrics.recomputed_jobs == 1
         print(f"resumed run: {second.metrics.resumed_jobs} job restored "

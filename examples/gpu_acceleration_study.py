@@ -14,10 +14,10 @@ and prints the modelled per-stage speedups for a Tesla K40.
 import numpy as np
 
 from repro import (
-    Engine,
     HmmsearchPipeline,
     KEPLER_K40,
     MemoryConfig,
+    SearchOptions,
     Stage,
     StageWork,
     best_gpu_stage_time,
@@ -36,12 +36,14 @@ def main() -> None:
 
     pipeline = HmmsearchPipeline(hmm, L=int(database.mean_length))
 
-    cpu = pipeline.search(database, engine=Engine.CPU_SSE)
+    cpu = pipeline.search(database, SearchOptions(engine="cpu_sse"))
     gpu = pipeline.search(
         database,
-        engine=Engine.GPU_WARP,
-        device=KEPLER_K40,
-        config=MemoryConfig.SHARED,
+        SearchOptions(
+            engine="gpu_warp",
+            device=KEPLER_K40,
+            config=MemoryConfig.SHARED,
+        ),
     )
 
     # --- accuracy: bit-identical scores, identical hit lists ---

@@ -19,16 +19,17 @@ The supported import surface is the :mod:`repro.api` facade::
     results = repro.search(hmm, db, repro.SearchOptions(engine="gpu"))
     print(results.summary())
 
-Every pre-facade name (``HmmsearchPipeline``, ``sample_hmm``,
-``msv_warp_kernel``, ...) keeps importing from :mod:`repro` through a
-lazy compatibility layer, but new code should import such internals
-from their defining submodule.
+The package also re-exports the internals that the examples,
+benchmarks, tools and end-to-end benchmark use (``HmmsearchPipeline``,
+``sample_hmm``, ``msv_warp_kernel``, ...): the facade-discipline lint
+rule lets code outside ``src/repro`` import only from :mod:`repro` and
+:mod:`repro.api`.  ``__all__`` lists the facade alone; everything else
+should be imported from its defining submodule.
 """
 
 from __future__ import annotations
 
-from importlib import import_module
-
+from .alphabet import AMINO, packed_stream_bytes, unpack_residues
 from .api import (
     EngineSpec,
     ScanOptions,
@@ -47,8 +48,87 @@ from .api import (
     search,
     search_many,
 )
+from .cpu import (
+    generic_forward_score,
+    msv_score_batch,
+    msv_score_sequence,
+    viterbi_score_batch,
+    viterbi_score_sequence,
+)
+from .cpu.posterior import domain_regions, posterior_decode
+from .errors import JournalCorruptError, OverloadError
+from .gpu import FERMI_GTX580, KEPLER_K40, KernelCounters
+from .hardening import SALVAGE, STRICT, RecordQuarantine
+from .hmm import (
+    PAPER_MODEL_SIZES,
+    SearchProfile,
+    build_hmm_from_msa,
+    pfam_band_fractions,
+    sample_hmm,
+    sample_pfam_size,
+    save_hmm,
+)
+from .kernels import (
+    SYNCS_PER_ROW,
+    MemoryConfig,
+    Stage,
+    msv_multiwarp_sync_kernel,
+    msv_warp_kernel,
+    stage_occupancy,
+    viterbi_warp_kernel,
+)
+from .obs import Tracer, compare_bench, load_bench, write_bench_json
+from .perf import (
+    DEFAULT_COSTS,
+    CostConstants,
+    SchedulePolicy,
+    StageWork,
+    best_gpu_stage_time,
+    cpu_forward_time,
+    cpu_stage_time,
+    experiment_workload,
+    gpu_stage_time,
+    hybrid_stage_split,
+    imbalance_factor,
+    kernel_intensity,
+    multi_gpu_speedup,
+    optimal_stage_speedup,
+    overall_speedup,
+    paper_database,
+    paper_hmm,
+    ridge_point,
+    roofline_summary,
+    stage_speedup,
+    transfer_time_s,
+)
+from .perf.workloads import PAPER_RESIDUES
+from .pipeline import HmmsearchPipeline, PipelineThresholds
+from .scan import LibraryCatalog, PressSettings, ScanService
+from .scoring import MSVByteProfile, ViterbiWordProfile
+from .sequence import (
+    DigitalSequence,
+    SequenceDatabase,
+    envnr_like,
+    homolog_database,
+    random_sequence_codes,
+    read_fasta,
+    swissprot_like,
+    write_fasta,
+)
+from .service import (
+    AdmissionLimits,
+    BatchSearchService,
+    CrashPoint,
+    DevicePool,
+    DurableRunJournal,
+    FaultPlan,
+    PipelineCache,
+    PipelineSettings,
+    VirtualClock,
+    result_digest,
+)
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -69,183 +149,3 @@ __all__ = [
     "get_engine",
     "list_engines",
 ]
-
-# -- legacy compatibility (PEP 562) ------------------------------------------
-# Everything `from repro import X` resolved before the facade keeps
-# working: names resolve lazily to their defining submodule on first
-# attribute access.  __all__ above intentionally lists only the facade.
-
-_LEGACY = {
-    # alphabet & sequences
-    "AMINO": "repro.alphabet",
-    "AminoAlphabet": "repro.alphabet",
-    "pack_residues": "repro.alphabet",
-    "unpack_residues": "repro.alphabet",
-    "DigitalSequence": "repro.sequence",
-    "SequenceDatabase": "repro.sequence",
-    "read_fasta": "repro.sequence",
-    "write_fasta": "repro.sequence",
-    "swissprot_like": "repro.sequence",
-    "envnr_like": "repro.sequence",
-    # models & profiles
-    "Plan7HMM": "repro.hmm",
-    "NullModel": "repro.hmm",
-    "SearchProfile": "repro.hmm",
-    "build_hmm_from_msa": "repro.hmm",
-    "sample_hmm": "repro.hmm",
-    "save_hmm": "repro.hmm",
-    "PAPER_MODEL_SIZES": "repro.hmm",
-    "MSVByteProfile": "repro.scoring",
-    "ViterbiWordProfile": "repro.scoring",
-    # engines
-    "msv_score_sequence": "repro.cpu",
-    "msv_score_batch": "repro.cpu",
-    "viterbi_score_sequence": "repro.cpu",
-    "viterbi_score_batch": "repro.cpu",
-    "generic_viterbi_score": "repro.cpu",
-    "generic_forward_score": "repro.cpu",
-    "generic_backward_score": "repro.cpu",
-    # GPU substrate & kernels
-    "DeviceSpec": "repro.gpu",
-    "KEPLER_K40": "repro.gpu",
-    "FERMI_GTX580": "repro.gpu",
-    "KernelCounters": "repro.gpu",
-    "MemoryConfig": "repro.kernels",
-    "Stage": "repro.kernels",
-    "msv_warp_kernel": "repro.kernels",
-    "viterbi_warp_kernel": "repro.kernels",
-    "stage_occupancy": "repro.kernels",
-    # pipeline
-    "HmmsearchPipeline": "repro.pipeline",
-    "Engine": "repro.pipeline",
-    "PipelineThresholds": "repro.pipeline",
-    "ModelLibrary": "repro.pipeline",
-    "ScanHit": "repro.pipeline",
-    "ScanResults": "repro.pipeline",
-    "OracleReport": "repro.pipeline",
-    # model-library scanning
-    "LibraryCatalog": "repro.scan",
-    "CatalogEntry": "repro.scan",
-    "PressSettings": "repro.scan",
-    "ScanService": "repro.scan",
-    "LibraryScanHit": "repro.scan",
-    "LibraryScanResults": "repro.scan",
-    "BucketPlan": "repro.scan",
-    "ModelBucket": "repro.scan",
-    "CoscheduleGroup": "repro.scan",
-    "build_bucket_plan": "repro.scan",
-    "coschedule_groups": "repro.scan",
-    "memconfig_crossover": "repro.scan",
-    "hmm_fingerprint": "repro.hmm.fingerprint",
-    "content_seed": "repro.hmm.fingerprint",
-    "Divergence": "repro.pipeline",
-    "GuardrailCounters": "repro.scoring",
-    "PosteriorDecoding": "repro.cpu.posterior",
-    "posterior_decode": "repro.cpu.posterior",
-    "domain_regions": "repro.cpu.posterior",
-    "viterbi_traceback": "repro.cpu.traceback",
-    "ViterbiAlignment": "repro.cpu.traceback",
-    "align_to_profile": "repro.cpu.hmmalign",
-    # data-plane hardening
-    "IngestPolicy": "repro.hardening",
-    "PolicyMode": "repro.hardening",
-    "STRICT": "repro.hardening",
-    "SALVAGE": "repro.hardening",
-    "RecordQuarantine": "repro.hardening",
-    "QuarantinedRecord": "repro.hardening",
-    # errors
-    "ReproError": "repro.errors",
-    "QuarantineError": "repro.errors",
-    "DivergenceError": "repro.errors",
-    "CatalogError": "repro.errors",
-    "UnknownEngineError": "repro.errors",
-    # -- tooling surface ------------------------------------------------
-    # Names sanctioned for code *outside* src/repro (examples, the
-    # benchmark suite, tools): the repro-lint facade rule (R002) allows
-    # external code to import only repro / repro.api top-level names, so
-    # everything the figure benchmarks and study scripts legitimately
-    # need is re-exported here instead of deep-imported.
-    "packed_stream_bytes": "repro.alphabet",
-    "pfam_band_fractions": "repro.hmm",
-    "sample_pfam_size": "repro.hmm",
-    "SYNCS_PER_ROW": "repro.kernels",
-    "msv_multiwarp_sync_kernel": "repro.kernels",
-    "Tracer": "repro.obs",
-    "compare_bench": "repro.obs",
-    "load_bench": "repro.obs",
-    "write_bench_json": "repro.obs",
-    "DEFAULT_COSTS": "repro.perf",
-    "CostConstants": "repro.perf",
-    "StageWork": "repro.perf",
-    "gpu_stage_time": "repro.perf",
-    "cpu_stage_time": "repro.perf",
-    "cpu_forward_time": "repro.perf",
-    "best_gpu_stage_time": "repro.perf",
-    "transfer_time_s": "repro.perf",
-    "stage_speedup": "repro.perf",
-    "optimal_stage_speedup": "repro.perf",
-    "overall_speedup": "repro.perf",
-    "multi_gpu_speedup": "repro.perf",
-    "hybrid_stage_split": "repro.perf",
-    "SchedulePolicy": "repro.perf",
-    "imbalance_factor": "repro.perf",
-    "kernel_intensity": "repro.perf",
-    "ridge_point": "repro.perf",
-    "roofline_summary": "repro.perf",
-    "paper_hmm": "repro.perf",
-    "paper_database": "repro.perf",
-    "experiment_workload": "repro.perf",
-    "PAPER_RESIDUES": "repro.perf.workloads",
-    "homolog_database": "repro.sequence",
-    "random_sequence_codes": "repro.sequence",
-    "BatchSearchService": "repro.service",
-    "DevicePool": "repro.service",
-    "FaultPlan": "repro.service",
-    "FaultKind": "repro.service",
-    "FaultSpec": "repro.service",
-    "PipelineCache": "repro.service",
-    "PipelineSettings": "repro.service",
-    "RunJournal": "repro.service",
-    "DurableRunJournal": "repro.service",
-    "WriteAheadJournal": "repro.service",
-    "ShardCheckpoint": "repro.service",
-    "CrashPoint": "repro.service",
-    "WAL_SCHEMA": "repro.service",
-    "result_digest": "repro.service",
-    "MetricsRegistry": "repro.service",
-    "JournalCorruptError": "repro.errors",
-    "FsckReport": "repro.scan",
-    "FsckProblem": "repro.scan",
-    "fsck_store": "repro.scan",
-    "RetryPolicy": "repro.service",
-    "Scheduler": "repro.service",
-    "JobQueue": "repro.service",
-    "submit_manifest": "repro.service",
-    # overload protection (admission control, deadlines, watchdog)
-    "AdmissionController": "repro.service",
-    "AdmissionLimits": "repro.service",
-    "CostEstimate": "repro.service",
-    "DegradationState": "repro.service",
-    "estimate_job_cost": "repro.service",
-    "Deadline": "repro.service",
-    "ShardWatchdog": "repro.service",
-    "VirtualClock": "repro.service",
-    "OverloadError": "repro.errors",
-    "DeadlineExceeded": "repro.errors",
-    # correctness tooling
-    "SanitizerReport": "repro.analysis",
-    "WarpSanitizer": "repro.analysis",
-}
-
-
-def __getattr__(name: str):
-    module = _LEGACY.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value  # cache: resolve each legacy name once
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(__all__) | set(_LEGACY))

@@ -3,10 +3,10 @@
 Four years of stacked PRs grew ~60 public names; almost every consumer
 needs ten of them.  This module is that ten: load a model, load a
 database, run one search or a batch of them, press/load/scan a model
-library, and the types those calls exchange.  ``from repro import ...``
-re-exports exactly this facade; everything else remains importable from
-its defining submodule (and lazily via ``repro.<legacy name>`` for
-compatibility).
+library, and the types those calls exchange.  ``repro.__all__`` is
+exactly this facade; everything else is importable from its defining
+submodule (``repro`` also re-exports the internals that the examples,
+benchmarks and tools use).
 
 Quickstart::
 

@@ -1,22 +1,21 @@
 """Pluggable engine registry: which implementation scores each stage.
 
-The closed two-member ``Engine`` enum (``cpu_sse``/``gpu_warp``) could
-not express CUDAMPF++-style per-model kernel-variant selection, nor
-admit new engines without touching every dispatch site.  This module
-replaces it with an open registry: an engine registers an
+The registry is open, so it can express CUDAMPF++-style per-model
+kernel-variant selection and admit new engines without touching any
+dispatch site: an engine registers an
 :class:`EngineSpec` - ``(name, stages, scorer, capability probe,
 cost-model hook)`` plus dispatch traits - and every consumer (pipeline,
 scheduler, scan service, admission pricing, CLI, benchmarks) resolves
 engines by name through :func:`get` / :func:`resolve`.
 
 Selection is *per stage*: :func:`resolve` accepts a bare name
-(``"gpu_warp_batched"``), a legacy alias (``"cpu"``/``"gpu"``), an
+(``"gpu_warp_batched"``), a short alias (``"cpu"``/``"gpu"``), an
 existing :class:`EngineSelection`, or a per-stage mapping such as
 ``{"msv": "gpu_warp_batched", "p7viterbi": "mp"}`` (the ``"*"`` key
 sets the default for unmapped stages).  Resolved selections are
 *interned*: resolving equal inputs returns the identical object, so
-legacy identity checks (``opts.engine is Engine.GPU_WARP``) keep
-working unchanged.
+``opts.engine is resolve("gpu")`` holds for any ``gpu_warp``
+selection.
 
 Built-in engines:
 
@@ -87,7 +86,7 @@ class EngineSpec:
     description:
         One line for registry-generated CLI help.
     aliases:
-        Extra lookup names (the legacy ``cpu``/``gpu`` spellings).
+        Extra lookup names (the short ``cpu``/``gpu`` spellings).
     pooled:
         The device-pool executor path (multi-device sharding, fault
         injection, shard retry) dispatches this engine.
@@ -161,9 +160,8 @@ class EngineSelection:
     """A resolved engine choice: one default plus per-stage overrides.
 
     Instances are created only by :func:`resolve`, which interns them:
-    two equal selections are the *same* object, so identity comparisons
-    against the shim constants (``Engine.CPU_SSE``/``Engine.GPU_WARP``)
-    behave exactly like the old enum members.
+    two equal selections are the *same* object, so selections compare
+    by identity.
     """
 
     default: str
@@ -282,34 +280,54 @@ def resolve(value: "EngineSelection | str | Mapping[str, str]") -> EngineSelecti
 # through repro.kernels -> repro.gpu -> ... -> repro.options.
 
 
+def _launch(stage, database, score, tracer, name, tags, counters=None,
+            guard=None, tally_rows=False):
+    """Run ``score(c)`` in one ``kernel`` span: every scorer's body.
+
+    ``c`` is the stage's :class:`~repro.gpu.counters.KernelCounters`
+    from the search-wide ``counters`` dict, or None without one (the CPU
+    reference keeps none and tallies its saturations on the guard
+    itself); ``guard`` gains the saturations ``score`` added to ``c``.
+    The span records the rows and sequences scored (``tally_rows``) or
+    else the kernel counters.
+    """
+    from .gpu.counters import KernelCounters
+    from .obs.profiling import record_kernel_counters
+    from .obs.span import span
+
+    c = None if counters is None else counters.setdefault(stage, KernelCounters())
+    before = 0 if c is None else c.saturations
+    with span(tracer, name, "kernel", **tags) as ks:
+        scores = score(c)
+        if ks is not None and tally_rows:
+            ks.count(rows=database.total_residues, sequences=len(database))
+        elif ks is not None:
+            record_kernel_counters(ks, c)
+    if guard is not None and c is not None:
+        guard.saturations += c.saturations - before
+    return scores
+
+
 def _reference_scorer(stage, profile, database, *, opts, counters, guard,
                       executor=None, M=None):
     from .cpu.msv_reference import msv_score_batch
     from .cpu.viterbi_reference import viterbi_score_batch
-    from .obs.span import span
 
-    reference = msv_score_batch if stage == "msv" else viterbi_score_batch
-    with span(
-        opts.tracer, f"{stage}_batch", "kernel",
-        stage=stage, engine="cpu_sse",
-    ) as ks:
-        scores = reference(profile, database, guard=guard)
-        if ks is not None:
-            ks.count(rows=database.total_residues, sequences=len(database))
-    return scores
+    ref = msv_score_batch if stage == "msv" else viterbi_score_batch
+    return _launch(
+        stage, database, lambda c: ref(profile, database, guard=guard),
+        opts.tracer, f"{stage}_batch", {"stage": stage, "engine": "cpu_sse"},
+        tally_rows=True,
+    )
 
 
 def _warp_kernel_scorer(stage, profile, database, *, opts, counters, guard,
                         executor=None, M=None):
-    from .gpu.counters import KernelCounters
     from .kernels.msv_warp import msv_warp_kernel
     from .kernels.viterbi_warp import viterbi_warp_kernel
-    from .obs.profiling import kernel_tags, record_kernel_counters
-    from .obs.span import span
+    from .obs.profiling import kernel_tags
 
     kernel = msv_warp_kernel if stage == "msv" else viterbi_warp_kernel
-    c = counters.setdefault(stage, KernelCounters())
-    before = c.saturations
     run = kernel
     if opts.sanitize:
         # bind the flag so executor-dispatched launches (which own their
@@ -317,72 +335,40 @@ def _warp_kernel_scorer(stage, profile, database, *, opts, counters, guard,
         # defer to REPRO_SANITIZE
         run = functools.partial(kernel, sanitize=True)
     if executor is not None:
-        scores = executor.score_stage(
+        # the pooled executor records its own schedule/shard/kernel spans
+        return _launch(stage, database, lambda c: executor.score_stage(
             stage, run, profile, database, config=opts.config, counters=c,
-        )
-    else:
-        with span(
-            opts.tracer, kernel.__name__, "kernel",
-            **kernel_tags(stage, M, opts.config, opts.device,
-                          engine="gpu_warp"),
-        ) as ks:
-            scores = run(
-                profile, database, config=opts.config, device=opts.device,
-                counters=c,
-            )
-            record_kernel_counters(ks, c)
-    if guard is not None:
-        guard.saturations += c.saturations - before
-    return scores
+        ), None, kernel.__name__, {}, counters, guard)
+    tags = kernel_tags(stage, M, opts.config, opts.device, engine="gpu_warp")
+    return _launch(stage, database, lambda c: run(
+        profile, database, config=opts.config, device=opts.device, counters=c,
+    ), opts.tracer, kernel.__name__, tags, counters, guard)
 
 
 def _batched_kernel_scorer(stage, profile, database, *, opts, counters, guard,
                            executor=None, M=None):
-    from .gpu.counters import KernelCounters
     from .kernels.batched import msv_batched_kernel, viterbi_batched_kernel
-    from .obs.profiling import kernel_tags, record_kernel_counters
-    from .obs.span import span
+    from .obs.profiling import kernel_tags
 
     kernel = msv_batched_kernel if stage == "msv" else viterbi_batched_kernel
-    c = counters.setdefault(stage, KernelCounters())
-    before = c.saturations
-    with span(
-        opts.tracer, kernel.__name__, "kernel",
-        **kernel_tags(stage, M, opts.config, opts.device,
-                      engine="gpu_warp_batched"),
-    ) as ks:
-        scores = kernel(
-            profile, database, config=opts.config, device=opts.device,
-            counters=c, sanitize=True if opts.sanitize else None,
-        )
-        record_kernel_counters(ks, c)
-    if guard is not None:
-        guard.saturations += c.saturations - before
-    return scores
+    tags = kernel_tags(stage, M, opts.config, opts.device,
+                       engine="gpu_warp_batched")
+    return _launch(stage, database, lambda c: kernel(
+        profile, database, config=opts.config, device=opts.device,
+        counters=c, sanitize=True if opts.sanitize else None,
+    ), opts.tracer, kernel.__name__, tags, counters, guard)
 
 
 def _mp_scorer(stage, profile, database, *, opts, counters, guard,
                executor=None, M=None):
     from .cpu.mp_backend import mp_score_stage
-    from .gpu.counters import KernelCounters
-    from .obs.span import span
 
-    c = counters.setdefault(stage, KernelCounters())
-    before = c.saturations
-    with span(
-        opts.tracer, f"{stage}_mp", "kernel", stage=stage, engine="mp",
-        workers=opts.mp_workers, inner=opts.mp_inner_engine,
-    ) as ks:
-        scores = mp_score_stage(
-            stage, profile, database,
-            workers=opts.mp_workers, inner=opts.mp_inner_engine,
-            counters=c,
-        )
-        if ks is not None:
-            ks.count(rows=database.total_residues, sequences=len(database))
-    if guard is not None:
-        guard.saturations += c.saturations - before
-    return scores
+    tags = {"stage": stage, "engine": "mp", "workers": opts.mp_workers,
+            "inner": opts.mp_inner_engine}
+    return _launch(stage, database, lambda c: mp_score_stage(
+        stage, profile, database, workers=opts.mp_workers,
+        inner=opts.mp_inner_engine, counters=c,
+    ), opts.tracer, f"{stage}_mp", tags, counters, guard, tally_rows=True)
 
 
 def _mp_probe() -> bool:

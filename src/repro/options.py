@@ -1,18 +1,14 @@
 """Consolidated search configuration: :class:`SearchOptions`.
 
-PRs 1-3 accreted search behaviour onto keyword arguments
-(``selfcheck=``, ``guard=``, ``policy=``, fault/journal kwargs); this
-module replaces that with one frozen options object accepted by
-:meth:`HmmsearchPipeline.search`, :class:`~repro.service.Scheduler` and
-:class:`~repro.service.BatchSearchService`.  Legacy keyword arguments
-keep working through a single shim, :func:`resolve_search_options`,
-which folds them into a :class:`SearchOptions` and emits one
-``DeprecationWarning`` per call.
+One frozen options object configures every search: it is accepted by
+:meth:`HmmsearchPipeline.search`, :class:`~repro.service.Scheduler`,
+:class:`~repro.service.BatchSearchService` and the scan service.
+Engines are chosen by registered name or per-stage mapping and
+resolved through :func:`repro.engines.resolve`.
 
-:class:`Engine` and :class:`PipelineThresholds` are *defined* here (and
-re-exported from :mod:`repro.pipeline.pipeline`, their historical home)
-so that the options object, the pipeline and the service can all share
-them without an import cycle.
+:class:`PipelineThresholds` is *defined* here (and re-exported from
+:mod:`repro.pipeline`) so that the options object, the pipeline and
+the service can all share it without an import cycle.
 
 Every field carries a ``doc`` metadata string; :func:`field_doc` feeds
 the CLI, whose ``--selfcheck``/``--strict|--salvage``/``--trace`` help
@@ -22,7 +18,6 @@ drift apart.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from . import engines
@@ -34,52 +29,10 @@ from .kernels.memconfig import MemoryConfig
 from .obs.span import Tracer
 
 __all__ = [
-    "Engine",
     "PipelineThresholds",
     "SearchOptions",
     "field_doc",
-    "resolve_search_options",
-    "UNSET",
 ]
-
-
-class Engine:
-    """Deprecated closed engine enum, now a shim over the registry.
-
-    ``Engine.CPU_SSE`` / ``Engine.GPU_WARP`` are the interned
-    :class:`~repro.engines.EngineSelection` objects for those engines,
-    so historical identity checks (``opts.engine is Engine.GPU_WARP``)
-    and ``.value`` reads keep working.  New code should pass registered
-    engine names (or per-stage mappings) straight to
-    ``SearchOptions(engine=...)`` and use :func:`repro.engines.resolve`
-    / :func:`repro.engines.list_engines` instead.
-    """
-
-    CPU_SSE = engines.resolve("cpu_sse")
-    GPU_WARP = engines.resolve("gpu_warp")
-
-    def __init__(self) -> None:  # pragma: no cover - guard, not API
-        raise TypeError(
-            "Engine is a namespace shim over repro.engines; use "
-            "Engine.CPU_SSE / Engine.GPU_WARP or engines.resolve(name)"
-        )
-
-    @classmethod
-    def coerce(cls, value: "EngineSelection | str") -> EngineSelection:
-        """Deprecated: accept an engine name/alias/selection.
-
-        Kept for pre-registry call sites; emits one
-        ``DeprecationWarning`` and delegates to
-        :func:`repro.engines.resolve`, so every registered engine (not
-        just the historical two) resolves.
-        """
-        warnings.warn(
-            "Engine.coerce is deprecated; use repro.engines.resolve "
-            "(the engine registry) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return engines.resolve(value)
 
 
 @dataclass(frozen=True)
@@ -108,7 +61,7 @@ class SearchOptions:
     """
 
     engine: EngineSelection = field(
-        default=Engine.CPU_SSE,
+        default=engines.resolve("cpu_sse"),
         metadata={"doc": "scoring engine for the MSV and P7Viterbi "
                          "stages: any registered engine name "
                          "(repro.engines.list_engines(); e.g. cpu_sse, "
@@ -226,33 +179,3 @@ def field_doc(name: str) -> str:
             f"SearchOptions has no field {name!r}"
         ) from None
     return f.metadata["doc"]
-
-
-#: Sentinel distinguishing "not passed" from an explicit None/False.
-UNSET = object()
-
-
-def resolve_search_options(
-    options: SearchOptions | None,
-    where: str,
-    stacklevel: int = 3,
-    **legacy,
-) -> SearchOptions:
-    """The one deprecation shim for legacy per-kwarg call sites.
-
-    ``legacy`` maps field names to values or :data:`UNSET`.  Supplied
-    legacy kwargs emit a single ``DeprecationWarning`` naming the call
-    site and every offending argument, then override the corresponding
-    fields of ``options`` (or of a default :class:`SearchOptions`).
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not UNSET}
-    if supplied:
-        names = ", ".join(sorted(supplied))
-        warnings.warn(
-            f"passing {names} to {where} as keyword argument(s) is "
-            f"deprecated; pass options=SearchOptions({names}=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    base = options if options is not None else SearchOptions()
-    return replace(base, **supplied) if supplied else base

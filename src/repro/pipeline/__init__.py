@@ -1,9 +1,8 @@
 """The hmmsearch task pipeline: statistics, calibration, stages, results."""
 
 from .calibrate import PipelineCalibration, calibrate_profile
-from .hmmscan import ModelLibrary, ScanHit, ScanResults
 from .oracle import Divergence, OracleReport, sample_indices
-from .pipeline import Engine, HmmsearchPipeline, PipelineThresholds
+from .pipeline import HmmsearchPipeline, PipelineThresholds
 from .results import SearchHit, SearchResults, StageStats
 from .stats import (
     ScoreDistribution,
@@ -16,13 +15,9 @@ from .stats import (
 
 __all__ = [
     "HmmsearchPipeline",
-    "Engine",
     "PipelineThresholds",
     "PipelineCalibration",
     "calibrate_profile",
-    "ModelLibrary",
-    "ScanHit",
-    "ScanResults",
     "SearchResults",
     "SearchHit",
     "StageStats",

@@ -14,10 +14,8 @@ claim - which the test suite asserts; they differ in the hardware event
 counters and in the stage times the performance model assigns.
 
 :meth:`HmmsearchPipeline.search` takes a
-:class:`~repro.options.SearchOptions`; the historical per-kwarg calling
-convention (``engine=``, ``selfcheck=``, ``policy=``, ...) still works
-through the deprecation shim.  When ``options.tracer`` is armed, the
-search records a span tree (search -> stage -> kernel, with schedule
+:class:`~repro.options.SearchOptions`.  When ``options.tracer`` is
+armed, the search records a span tree (search -> stage -> kernel, with schedule
 and shard levels added by the service executors) carrying stage
 funnels, kernel counters, occupancy and memory-config choices; with the
 tracer off, results are bit-identical and the instrumentation reduces
@@ -39,13 +37,7 @@ from ..hmm.background import NullModel
 from ..hmm.plan7 import Plan7HMM
 from ..hmm.profile import SearchProfile
 from ..obs.span import span
-from ..options import (
-    UNSET,
-    Engine,
-    PipelineThresholds,
-    SearchOptions,
-    resolve_search_options,
-)
+from ..options import PipelineThresholds, SearchOptions
 from ..scoring.guardrails import GuardrailCounters
 from ..scoring.msv_profile import MSVByteProfile
 from ..scoring.vit_profile import ViterbiWordProfile
@@ -55,7 +47,7 @@ from .oracle import FORWARD_ABS_TOL, Divergence, OracleReport, sample_indices, s
 from .results import SearchHit, SearchResults, StageStats
 from .stats import bits_from_nats
 
-__all__ = ["Engine", "PipelineThresholds", "HmmsearchPipeline"]
+__all__ = ["PipelineThresholds", "HmmsearchPipeline"]
 
 
 class HmmsearchPipeline:
@@ -146,21 +138,11 @@ class HmmsearchPipeline:
         options: SearchOptions | None = None,
         *,
         executor: object | None = None,
-        engine=UNSET,
-        device=UNSET,
-        config=UNSET,
-        alignments=UNSET,
-        selfcheck=UNSET,
-        policy=UNSET,
-        quarantine=UNSET,
     ) -> SearchResults:
         """Run the three-stage pipeline over a database.
 
         All behaviour is configured by ``options``
-        (:class:`~repro.options.SearchOptions`); the trailing keyword
-        arguments are the deprecated pre-options calling convention and
-        fold into ``options`` via the shim, emitting a
-        ``DeprecationWarning``.
+        (:class:`~repro.options.SearchOptions`; None uses the defaults).
 
         With ``options.alignments`` every reported hit additionally
         carries its optimal Viterbi alignment (domains, coordinates,
@@ -191,12 +173,7 @@ class HmmsearchPipeline:
         a ``kernel`` span per kernel launch; tracing never changes
         scores, hits or stats - the invariant the test suite pins.
         """
-        opts = resolve_search_options(
-            options, "HmmsearchPipeline.search",
-            engine=engine, device=device, config=config,
-            alignments=alignments, selfcheck=selfcheck, policy=policy,
-            quarantine=quarantine,
-        )
+        opts = options if options is not None else SearchOptions()
         tracer = opts.tracer
         n = len(database)
         M = self.profile.M

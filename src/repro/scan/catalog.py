@@ -62,8 +62,10 @@ class PressSettings:
 
     Part of the store's identity: loading a store returns exactly the
     settings it was pressed with, so a catalog's calibrations are always
-    consistent with its pipelines.  Defaults match the historical
-    :class:`~repro.pipeline.hmmscan.ModelLibrary` construction.
+    consistent with its pipelines.  The defaults are smaller than a
+    lone :class:`~repro.pipeline.pipeline.HmmsearchPipeline`'s (L=350,
+    200/50 calibration samples) because a library calibrates every
+    model it scans.
     """
 
     L: int = 350

@@ -38,12 +38,13 @@ from .. import engines
 from ..gpu.counters import KernelCounters
 from ..kernels.memconfig import Stage
 from ..obs.span import Tracer, span
-from ..options import Engine, PipelineThresholds, SearchOptions
+from ..options import PipelineThresholds, SearchOptions
 from ..pipeline.results import StageStats
 from ..sequence.database import SequenceDatabase
 from ..service.devices import DevicePool, DeviceSlot
 from ..service.faults import FaultPlan, ResilienceEvent
 from ..service.metrics import MetricsRegistry
+from ..service.wal import DurableRunJournal
 from ..service.watchdog import Deadline, VirtualClock
 from .bucketing import BucketPlan, build_bucket_plan
 from .catalog import LibraryCatalog
@@ -180,7 +181,7 @@ class ScanService:
         fault_plan: FaultPlan | None = None,
         options: ScanOptions | None = None,
         clock: Callable[[], float] | None = None,
-        journal=None,
+        journal: DurableRunJournal | None = None,
     ) -> None:
         self.catalog = catalog
         self.pool = pool if pool is not None else DevicePool.heterogeneous()
@@ -189,8 +190,8 @@ class ScanService:
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )
         self.options = options if options is not None else ScanOptions()
-        # DurableRunJournal | None: launch groups are checkpointed as
-        # they complete, and a resumed scan replays only unfinished ones
+        # launch groups are checkpointed as they complete, and a
+        # resumed scan replays only unfinished ones
         self.journal = journal
         # monotonic timebase for deadline_ms budgets; injectable (the CLI
         # passes a real monotonic clock, tests a stepped fake) and
@@ -453,7 +454,7 @@ class ScanService:
             if slot is None:
                 # pool exhausted (injected faults): the group still
                 # completes, scored by the engine-invariant CPU path
-                engine = Engine.CPU_SSE
+                engine = engines.resolve("cpu_sse")
                 fallback = 1
         group_opts = replace(
             sopts,

@@ -21,9 +21,9 @@ amortized across repeats, every stage observable.
   seedable fault injection (launch/kernel/hang/corruption) armed per
   device and dispatch tick.
 * :mod:`~repro.service.resilience` - :class:`ResilientExecutor` /
-  :class:`RetryPolicy` / :class:`RunJournal`: shard-level retry with
-  backoff, repartitioning onto surviving devices, residual-shard CPU
-  fallback, device quarantine, and batch checkpoint/resume.
+  :class:`RetryPolicy`: shard-level retry with backoff, repartitioning
+  onto surviving devices, residual-shard CPU fallback and device
+  quarantine.
 * :mod:`~repro.service.wal` - :class:`WriteAheadJournal` /
   :class:`DurableRunJournal` / :class:`ShardCheckpoint`: the
   ``repro-wal-v2`` crash-consistent journal (CRC-framed records, fsync
@@ -64,14 +64,9 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+from ..engines import EngineSelection
 from ..hmm.plan7 import Plan7HMM
-from ..options import (
-    UNSET,
-    Engine,
-    PipelineThresholds,
-    SearchOptions,
-    resolve_search_options,
-)
+from ..options import PipelineThresholds, SearchOptions
 from ..sequence.database import SequenceDatabase
 from .admission import (
     AdmissionController,
@@ -86,12 +81,7 @@ from .faults import FaultKind, FaultPlan, FaultSpec, ResilienceEvent
 from .job import JobQueue, JobState, SearchJob
 from .manifest import load_manifest, submit_manifest, validate_manifest_paths
 from .metrics import JobRecord, MetricsRegistry, ResilienceStats
-from .resilience import (
-    ResilientExecutor,
-    RetryPolicy,
-    RunJournal,
-    result_digest,
-)
+from .resilience import ResilientExecutor, RetryPolicy, result_digest
 from .scheduler import PoolExecutor, Scheduler
 from .wal import (
     WAL_SCHEMA,
@@ -128,7 +118,6 @@ __all__ = [
     "ResilienceStats",
     "ResilientExecutor",
     "RetryPolicy",
-    "RunJournal",
     "WAL_SCHEMA",
     "CrashPoint",
     "DurableRunJournal",
@@ -163,14 +152,11 @@ class BatchSearchService:
         clock: Callable[[], float] = time.perf_counter,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
-        journal: RunJournal | None = None,
+        journal: DurableRunJournal | None = None,
         limits: AdmissionLimits | None = None,
         admission: AdmissionController | None = None,
         watchdog: ShardWatchdog | None = None,
         timeline: VirtualClock | None = None,
-        config=UNSET,
-        selfcheck=UNSET,
-        policy=UNSET,
     ) -> None:
         # explicit None checks: an empty PipelineCache is falsy (__len__)
         self.pool = pool if pool is not None else DevicePool.heterogeneous()
@@ -178,12 +164,7 @@ class BatchSearchService:
             cache if cache is not None else PipelineCache(max_entries=cache_size)
         )
         self.metrics = MetricsRegistry()
-        # config/selfcheck/policy are the deprecated pre-SearchOptions
-        # kwargs; the shim folds them in with a DeprecationWarning
-        self.options = resolve_search_options(
-            options, "BatchSearchService",
-            config=config, selfcheck=selfcheck, policy=policy,
-        )
+        self.options = options if options is not None else SearchOptions()
         # admission control: `limits` builds a controller priced against
         # the pool's lead device; an explicit `admission` wins.  Without
         # either, the queue is unbounded (the pre-overload behaviour).
@@ -210,10 +191,6 @@ class BatchSearchService:
         self._clock = clock
 
     @property
-    def policy(self):
-        return self.scheduler.policy
-
-    @property
     def tracer(self):
         """The tracer every job records into (None = tracing off)."""
         return self.options.tracer
@@ -224,7 +201,7 @@ class BatchSearchService:
         return self.metrics.quarantine
 
     @property
-    def journal(self) -> RunJournal | None:
+    def journal(self) -> DurableRunJournal | None:
         return self.scheduler.journal
 
     @property
@@ -248,7 +225,7 @@ class BatchSearchService:
         self,
         hmm: Plan7HMM,
         database: SequenceDatabase,
-        engine: Engine = Engine.GPU_WARP,
+        engine: EngineSelection | str = "gpu_warp",
         priority: int = 0,
         thresholds: PipelineThresholds | None = None,
         settings: PipelineSettings | None = None,

@@ -43,7 +43,7 @@ from ..errors import OverloadError, PipelineError
 from ..gpu.device import DeviceSpec
 from ..hmm.plan7 import Plan7HMM
 from ..kernels.memconfig import Stage
-from ..options import Engine, PipelineThresholds
+from ..options import PipelineThresholds
 from ..perf.calibration import DEFAULT_COSTS, CostConstants
 from ..perf.cost_model import StageWork, cpu_forward_time, cpu_stage_time
 from ..sequence.database import SequenceDatabase
@@ -146,7 +146,7 @@ def _expected_rows(residues: int, fraction: float) -> int:
 def estimate_job_cost(
     hmm: Plan7HMM,
     database: SequenceDatabase,
-    engine: Engine | str = Engine.GPU_WARP,
+    engine: engines.EngineSelection | str = "gpu_warp",
     device: DeviceSpec | None = None,
     thresholds: PipelineThresholds | None = None,
     costs: CostConstants = DEFAULT_COSTS,
@@ -270,7 +270,7 @@ class AdmissionController:
         self,
         hmm: Plan7HMM,
         database: SequenceDatabase,
-        engine: Engine | str = Engine.GPU_WARP,
+        engine: engines.EngineSelection | str = "gpu_warp",
         priority: int = 0,
     ) -> CostEstimate:
         """Price a submission and admit it, or raise :class:`OverloadError`.

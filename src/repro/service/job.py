@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .. import engines
 from ..errors import PipelineError
 from ..hmm.plan7 import Plan7HMM
-from ..options import Engine, PipelineThresholds, SearchOptions
+from ..options import PipelineThresholds, SearchOptions
 from ..pipeline.results import SearchResults
 from ..sequence.database import SequenceDatabase
 from .cache import PipelineSettings, hmm_fingerprint
@@ -54,7 +54,7 @@ class SearchJob:
     job_id: str
     hmm: Plan7HMM
     database: SequenceDatabase
-    engine: Engine = Engine.GPU_WARP
+    engine: engines.EngineSelection = engines.resolve("gpu_warp")
     priority: int = 0
     thresholds: PipelineThresholds | None = None
     settings: PipelineSettings = field(default_factory=PipelineSettings)
@@ -68,7 +68,8 @@ class SearchJob:
     results: SearchResults | None = None
     error: str | None = None
     attempts: int = 0
-    fallback_engine: Engine | None = None    # set when a retry degraded
+    # set when a retry degraded the job to another engine
+    fallback_engine: engines.EngineSelection | None = None
     resumed: bool = False                    # restored from a run journal
     submitted_at: float | None = None
     started_at: float | None = None
@@ -88,7 +89,7 @@ class SearchJob:
         return self.finished_at - self.started_at
 
     @property
-    def effective_engine(self) -> Engine:
+    def effective_engine(self) -> engines.EngineSelection:
         """The engine that actually produced the results."""
         return self.fallback_engine or self.engine
 
@@ -119,7 +120,7 @@ class SearchJob:
 
 
 def job_fingerprint(
-    hmm: Plan7HMM, database: SequenceDatabase, engine: Engine
+    hmm: Plan7HMM, database: SequenceDatabase, engine: engines.EngineSelection
 ) -> str:
     """Content fingerprint of one (query, database, engine) submission.
 
@@ -137,10 +138,6 @@ def job_fingerprint(
     return h.hexdigest()
 
 
-# Backward-compatible private alias (pre-durability callers).
-_job_fingerprint = job_fingerprint
-
-
 class JobQueue:
     """Priority queue of :class:`SearchJob` with deterministic ids."""
 
@@ -155,7 +152,7 @@ class JobQueue:
         self,
         hmm: Plan7HMM,
         database: SequenceDatabase,
-        engine: Engine = Engine.GPU_WARP,
+        engine: engines.EngineSelection | str = "gpu_warp",
         priority: int = 0,
         thresholds: PipelineThresholds | None = None,
         settings: PipelineSettings | None = None,
@@ -188,7 +185,7 @@ class JobQueue:
             job = SearchJob(
                 job_id=job_id if job_id is not None else (
                     f"job-{serial:04d}-"
-                    f"{_job_fingerprint(hmm, database, engine)[:8]}"
+                    f"{job_fingerprint(hmm, database, engine)[:8]}"
                 ),
                 hmm=hmm,
                 database=database,

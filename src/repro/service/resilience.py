@@ -18,8 +18,9 @@ Failures feed the :class:`~repro.service.devices.DeviceSlot` health
 state machine (healthy -> degraded -> quarantined with exponentially
 growing cooldowns and reintegration probes), every recovery step lands
 in a deterministic :class:`~repro.service.faults.ResilienceEvent` log,
-and a :class:`RunJournal` checkpoints completed jobs so a killed batch
-run resumes without recomputing finished work.
+and :func:`result_digest` fingerprints each job's hits for the WAL v2
+journal (:mod:`repro.service.wal`), so a killed batch run resumes
+without recomputing finished work.
 
 The invariant all of this preserves: faults may change throughput
 accounting, device health and the event log - they never change the
@@ -29,9 +30,7 @@ reported hits.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -57,7 +56,7 @@ from .devices import DeviceHealth, DevicePool, DeviceSlot
 from .faults import FaultKind, FaultPlan, ResilienceEvent
 from .watchdog import Deadline, ShardWatchdog
 
-__all__ = ["RetryPolicy", "ResilientExecutor", "RunJournal", "result_digest"]
+__all__ = ["RetryPolicy", "ResilientExecutor", "result_digest"]
 
 # Transient shard failures the degradation ladder absorbs.  Anything
 # else (a programming error, an invalid profile) propagates unchanged.
@@ -560,75 +559,3 @@ def result_digest(results) -> str:
         h.update(hit.name.encode())
         h.update(np.float64(hit.evalue).tobytes())
     return h.hexdigest()
-
-
-class RunJournal:
-    """Append-only JSONL checkpoint of completed batch jobs.
-
-    One line per finished job::
-
-        {"job_id": ..., "state": "done", "digest": ..., "n_targets": ...,
-         "n_hits": ..., "effective_engine": ..., "query": ..., "database": ...}
-
-    Lines are flushed as they are written, so a crash loses at most the
-    in-flight job.  On load, a truncated trailing line (the crash
-    artifact) is tolerated and dropped.  ``resume=True`` loads existing
-    entries so the scheduler can skip jobs already marked done;
-    ``resume=False`` truncates and starts a fresh run.
-    """
-
-    def __init__(self, path: str | Path, resume: bool = True) -> None:
-        self.path = Path(path)
-        self._entries: dict[str, dict] = {}
-        if resume and self.path.exists():
-            self._load()
-        elif self.path.exists():
-            self.path.unlink()
-
-    def _load(self) -> None:
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated trailing line from a crash
-            job_id = entry.get("job_id")
-            if isinstance(job_id, str):
-                self._entries[job_id] = entry
-
-    def completed(self, job_id: str) -> dict | None:
-        """The journal entry for a finished job, or None."""
-        entry = self._entries.get(job_id)
-        if entry is not None and entry.get("state") == "done":
-            return entry
-        return None
-
-    def record(self, job) -> dict:
-        """Checkpoint one finished job (call after state becomes DONE)."""
-        results = job.results
-        entry = {
-            "job_id": job.job_id,
-            "state": job.state.value,
-            "digest": result_digest(results) if results is not None else "",
-            "n_targets": results.n_targets if results is not None else 0,
-            "n_hits": len(results.hits) if results is not None else 0,
-            "effective_engine": job.effective_engine.value,
-            "query": job.hmm.name,
-            "database": job.database.name,
-        }
-        self._entries[job.job_id] = entry
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(entry) + "\n")
-            fh.flush()
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._entries
-
-    def __repr__(self) -> str:
-        return f"RunJournal({str(self.path)!r}, entries={len(self._entries)})"

@@ -15,9 +15,8 @@ any pool produces the *same hits* as a direct
 pins down.
 
 Search behaviour (engine defaults, selfcheck, policy, tracing) is
-configured by one :class:`~repro.options.SearchOptions`; the historical
-``selfcheck=``/``policy=`` keyword arguments still work through the
-deprecation shim.  When ``options.tracer`` is armed, every executed job
+configured by one :class:`~repro.options.SearchOptions`.  When
+``options.tracer`` is armed, every executed job
 records a ``job`` span (wrapping a ``schedule`` span for pipeline
 preparation and the pipeline's own search/stage/kernel spans), and each
 finished job's stage timings are folded into the metrics registry's
@@ -27,7 +26,7 @@ Fault handling comes in two tiers:
 
 * **Legacy (default)**: if a device launch raises
   :class:`~repro.errors.LaunchError` (injected or real), the whole job
-  is retried once on ``Engine.CPU_SSE``.  Accuracy preservation makes
+  is retried once on the ``cpu_sse`` engine.  Accuracy preservation makes
   the degraded result identical to the fault-free one; only throughput
   accounting changes.
 * **Resilient**: given a ``fault_plan`` and/or ``retry_policy`` (or a
@@ -37,9 +36,9 @@ Fault handling comes in two tiers:
   fallback for the residual shard only, and device quarantine - so one
   bad device no longer discards completed shard work.
 
-A :class:`~repro.service.resilience.RunJournal` checkpoints completed
-jobs; on a rerun, journaled jobs are *resumed* (skipped, with metrics
-marking them resumed rather than recomputed).
+A :class:`~repro.service.wal.DurableRunJournal` (WAL v2) checkpoints
+completed jobs and shards; on a rerun, journaled jobs are *resumed*
+(skipped, with metrics marking them resumed rather than recomputed).
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ import time
 from dataclasses import replace
 from typing import Callable
 
+from ..engines import resolve
 from ..errors import (
     DeadlineExceeded,
     DivergenceError,
@@ -56,15 +56,14 @@ from ..errors import (
     ReproError,
 )
 from ..gpu.multi_gpu import run_multi_gpu
-from ..kernels.memconfig import MemoryConfig
 from ..obs.span import span
-from ..options import UNSET, Engine, SearchOptions, resolve_search_options
+from ..options import SearchOptions
 from .cache import PipelineCache
 from .devices import DevicePool
 from .faults import FaultPlan, ResilienceEvent
 from .job import JobQueue, JobState, SearchJob, job_fingerprint
 from .metrics import JobRecord, MetricsRegistry
-from .resilience import ResilientExecutor, RetryPolicy, RunJournal
+from .resilience import ResilientExecutor, RetryPolicy
 from .wal import DurableRunJournal, ShardCheckpoint
 from .watchdog import Deadline, ShardWatchdog, VirtualClock
 
@@ -157,25 +156,18 @@ class Scheduler:
         clock: Callable[[], float] = time.perf_counter,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
-        journal: RunJournal | None = None,
+        journal: DurableRunJournal | None = None,
         admission=None,
         watchdog: ShardWatchdog | None = None,
         timeline: VirtualClock | None = None,
-        config=UNSET,
-        selfcheck=UNSET,
-        policy=UNSET,
     ) -> None:
         # explicit None checks: an empty PipelineCache is falsy (__len__)
         self.pool = pool if pool is not None else DevicePool.heterogeneous()
         self.cache = cache if cache is not None else PipelineCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.attach(self.pool, self.cache)
-        # one options object configures every job this scheduler runs;
-        # config/selfcheck/policy are the deprecated pre-options kwargs
-        self.options = resolve_search_options(
-            options, "Scheduler",
-            config=config, selfcheck=selfcheck, policy=policy,
-        )
+        # one options object configures every job this scheduler runs
+        self.options = options if options is not None else SearchOptions()
         self.clock = clock
         # an explicit plan wins; otherwise REPRO_FAULT_SEED may arm a
         # global chaos plan (the CI chaos job's hook)
@@ -194,21 +186,9 @@ class Scheduler:
             self.metrics.attach_admission(admission)
 
     @property
-    def config(self) -> MemoryConfig:
-        return self.options.config
-
-    @property
-    def selfcheck(self) -> int:
-        return self.options.selfcheck
-
-    @property
-    def policy(self):
-        return self.options.policy
-
-    @property
     def durable(self) -> bool:
         """Whether a WAL v2 journal checkpoints shard-granular progress."""
-        return isinstance(self.journal, DurableRunJournal)
+        return self.journal is not None
 
     @property
     def resilient(self) -> bool:
@@ -282,20 +262,18 @@ class Scheduler:
         whose fingerprint no longer matches (edited manifest, swapped
         database, different engine) is *stale* - in salvage mode it is
         discarded and the job recomputed, in strict mode it raises a
-        :class:`JournalCorruptError` naming the job.  Legacy v1 entries
-        have no fingerprint and are trusted unchanged.
+        :class:`JournalCorruptError` naming the job.  ``record()`` always
+        writes a fingerprint, so an entry without one is stale too.
         """
-        recorded = entry.get("fingerprint")
-        if recorded is None:
-            return entry
+        recorded = entry.get("fingerprint") or ""
         current = job_fingerprint(job.hmm, job.database, job.engine)
         if recorded == current:
             return entry
-        policy = getattr(self.journal, "policy", None)
-        if policy is not None and not policy.salvage:
+        shown = recorded[:12] or "(none)"
+        if not self.journal.policy.salvage:
             raise JournalCorruptError(
                 f"journal entry for job {job.job_id} is stale: the "
-                f"checkpointed submission fingerprint {recorded[:12]} does "
+                f"checkpointed submission fingerprint {shown} does "
                 f"not match the current submission {current[:12]} (query "
                 f"{job.hmm.name!r}, database {job.database.name!r}); "
                 "recompute with the salvage policy or a fresh journal"
@@ -306,7 +284,7 @@ class Scheduler:
                 stage="job",
                 job_id=job.job_id,
                 detail=(
-                    f"fingerprint {recorded[:12]} != {current[:12]}; "
+                    f"fingerprint {shown} != {current[:12]}; "
                     "entry discarded, job recomputed"
                 ),
             )
@@ -402,9 +380,10 @@ class Scheduler:
                     # legacy whole-job path)
                     error = str(exc)
                     job.attempts += 1
-                    job.fallback_engine = Engine.CPU_SSE
+                    job.fallback_engine = resolve("cpu_sse")
                     results = pipeline.search(
-                        job.database, replace(opts, engine=Engine.CPU_SSE)
+                        job.database,
+                        replace(opts, engine=job.fallback_engine),
                     )
                 job.results = results
                 job.state = JobState.DONE

@@ -1,9 +1,8 @@
 """Write-ahead journal v2: crash-consistent durable execution state.
 
-:class:`~repro.service.resilience.RunJournal` (v1) checkpoints whole
-completed jobs to checksum-free JSONL - a crash loses every in-flight
-shard, and nothing detects a journal corrupted after the fact.  This
-module replaces it with a real WAL (``repro-wal-v2``):
+The service's one checkpoint journal is a real WAL (``repro-wal-v2``),
+so a crash loses at most the in-flight record and a journal corrupted
+after the fact is detected rather than replayed:
 
 * **Length-prefixed, CRC-checksummed records.**  The file is a magic
   header followed by frames of ``(payload length, CRC32, JSON payload)``;
@@ -272,9 +271,10 @@ class DurableRunJournal(WriteAheadJournal):
 
     Three durable unit kinds ride the frame layer:
 
-    * ``job`` - a completed batch job (the v1 entry plus the job's
-      content ``fingerprint``, which :meth:`Scheduler.run` validates
-      before trusting the entry);
+    * ``job`` - a completed batch job: its hit digest and counts plus
+      the job's content ``fingerprint``, which :meth:`Scheduler.run`
+      validates before trusting the entry (an entry without one is
+      stale);
     * ``shard`` - one completed stage shard, keyed by
       ``sha256(job fingerprint, stage, chunk content)`` with the
       bit-exact scores inline, so resume replays only unfinished shards;
@@ -327,7 +327,7 @@ class DurableRunJournal(WriteAheadJournal):
                     self.duplicate_units += 1
                 self._groups[key] = record
 
-    # -- job entries (RunJournal-compatible surface) -------------------------
+    # -- job entries ----------------------------------------------------------
 
     def completed(self, job_id: str) -> dict | None:
         """The journal entry for a finished job, or None."""
@@ -357,9 +357,6 @@ class DurableRunJournal(WriteAheadJournal):
 
     def __len__(self) -> int:
         return len(self._jobs)
-
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._jobs
 
     # -- shard entries -------------------------------------------------------
 

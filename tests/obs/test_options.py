@@ -1,4 +1,5 @@
-"""SearchOptions: defaults, coercion, docs, and the deprecation shim."""
+"""SearchOptions: defaults, coercion, docs, and the options-object
+constructors."""
 
 from __future__ import annotations
 
@@ -10,19 +11,14 @@ import pytest
 from repro.errors import PipelineError
 from repro.hardening import SALVAGE, STRICT
 from repro.kernels.memconfig import MemoryConfig
-from repro.options import (
-    UNSET,
-    Engine,
-    SearchOptions,
-    field_doc,
-    resolve_search_options,
-)
+from repro.engines import resolve
+from repro.options import SearchOptions, field_doc
 
 
 class TestSearchOptions:
     def test_defaults(self):
         o = SearchOptions()
-        assert o.engine is Engine.CPU_SSE
+        assert o.engine is resolve("cpu_sse")
         assert o.config is MemoryConfig.SHARED
         assert o.thresholds is None
         assert o.selfcheck == 0
@@ -37,9 +33,9 @@ class TestSearchOptions:
             o.selfcheck = 3
 
     def test_engine_string_coercion(self):
-        assert SearchOptions(engine="gpu").engine is Engine.GPU_WARP
-        assert SearchOptions(engine="cpu").engine is Engine.CPU_SSE
-        assert SearchOptions(engine="gpu_warp").engine is Engine.GPU_WARP
+        assert SearchOptions(engine="gpu").engine is resolve("gpu_warp")
+        assert SearchOptions(engine="cpu").engine is resolve("cpu_sse")
+        assert SearchOptions(engine="gpu_warp").engine is resolve("gpu_warp")
 
     def test_bad_engine_raises(self):
         with pytest.raises(PipelineError):
@@ -52,8 +48,8 @@ class TestSearchOptions:
     def test_with_returns_modified_copy(self):
         o = SearchOptions()
         o2 = o.with_(engine="gpu", selfcheck=2)
-        assert o2.engine is Engine.GPU_WARP and o2.selfcheck == 2
-        assert o.engine is Engine.CPU_SSE  # original untouched
+        assert o2.engine is resolve("gpu_warp") and o2.selfcheck == 2
+        assert o.engine is resolve("cpu_sse")  # original untouched
 
     def test_every_field_has_doc(self):
         for name in SearchOptions.__dataclass_fields__:
@@ -65,52 +61,7 @@ class TestSearchOptions:
             field_doc("warp_speed")
 
 
-class TestDeprecationShim:
-    def test_no_legacy_kwargs_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = resolve_search_options(None, "X", engine=UNSET)
-        assert out == SearchOptions()
-
-    def test_legacy_kwargs_warn_and_override(self):
-        base = SearchOptions(selfcheck=1)
-        with pytest.warns(DeprecationWarning, match="engine.*X"):
-            out = resolve_search_options(base, "X", engine="gpu",
-                                         policy=UNSET)
-        assert out.engine is Engine.GPU_WARP
-        assert out.selfcheck == 1  # non-overridden fields kept
-
-    def test_warning_names_every_argument(self):
-        with pytest.warns(DeprecationWarning, match="policy, selfcheck"):
-            resolve_search_options(
-                None, "Y", selfcheck=3, policy=SALVAGE
-            )
-
-    def test_passthrough_keeps_identity(self):
-        base = SearchOptions()
-        assert resolve_search_options(base, "X") is base
-
-
 class TestPipelineShim:
-    def test_search_engine_kwarg_warns(self, small_hmm, small_database):
-        from repro.pipeline.pipeline import HmmsearchPipeline
-
-        pipe = HmmsearchPipeline(small_hmm)
-        with pytest.warns(DeprecationWarning, match="engine"):
-            legacy = pipe.search(small_database, engine=Engine.CPU_SSE)
-        modern = pipe.search(
-            small_database, SearchOptions(engine=Engine.CPU_SSE)
-        )
-        assert [h.name for h in legacy.hits] == [h.name for h in modern.hits]
-
-    def test_service_selfcheck_kwarg_warns(self):
-        from repro.service import BatchSearchService
-
-        with pytest.warns(DeprecationWarning, match="BatchSearchService"):
-            service = BatchSearchService(selfcheck=2)
-        assert service.options.selfcheck == 2
-        assert service.scheduler.selfcheck == 2
-
     def test_service_options_object_is_silent(self):
         from repro.service import BatchSearchService
 
@@ -120,4 +71,17 @@ class TestPipelineShim:
                 options=SearchOptions(selfcheck=2, policy=SALVAGE)
             )
         assert service.options.selfcheck == 2
-        assert service.policy is SALVAGE
+        assert service.options.policy is SALVAGE
+
+    def test_options_object_is_the_only_way_in(self):
+        """No SearchOptions field is duplicated as a keyword argument."""
+        import inspect
+
+        from repro.pipeline.pipeline import HmmsearchPipeline
+        from repro.service import BatchSearchService, Scheduler
+
+        fields = set(SearchOptions.__dataclass_fields__)
+        for fn in (HmmsearchPipeline.search, Scheduler.__init__,
+                   BatchSearchService.__init__):
+            params = set(inspect.signature(fn).parameters)
+            assert not params & fields, fn.__qualname__

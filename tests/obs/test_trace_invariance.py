@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.obs.span import SPAN_KINDS, Tracer
-from repro.options import Engine, SearchOptions
+from repro.engines import resolve
+from repro.options import SearchOptions
 from repro.pipeline.pipeline import HmmsearchPipeline
 
 
@@ -31,7 +32,7 @@ def assert_identical_results(a, b):
 
 
 class TestPipelineInvariance:
-    @pytest.mark.parametrize("engine", [Engine.CPU_SSE, Engine.GPU_WARP])
+    @pytest.mark.parametrize("engine", [resolve("cpu_sse"), resolve("gpu_warp")])
     def test_tracing_is_bit_identical(self, small_hmm, small_database, engine):
         pipe = HmmsearchPipeline(small_hmm)
         plain = pipe.search(small_database, SearchOptions(engine=engine))
@@ -45,7 +46,7 @@ class TestPipelineInvariance:
         pipe = HmmsearchPipeline(small_hmm)
         results = pipe.search(
             small_database,
-            SearchOptions(engine=Engine.GPU_WARP, tracer=tracer),
+            SearchOptions(engine="gpu_warp", tracer=tracer),
         )
         (root,) = tracer.roots
         assert root.kind == "search"
@@ -82,7 +83,7 @@ class TestServiceInvariance:
 
         service = BatchSearchService(options=SearchOptions(tracer=tracer))
         service.submit(hmm, db)                          # GPU pool job
-        service.submit(hmm, db, engine=Engine.CPU_SSE)   # CPU job
+        service.submit(hmm, db, engine=resolve("cpu_sse"))   # CPU job
         return service, service.run()
 
     def test_service_tracing_is_bit_identical(self, small_hmm, small_database):

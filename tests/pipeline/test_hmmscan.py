@@ -1,12 +1,14 @@
-"""hmmscan-style model-library scanning."""
+"""hmmscan-style scanning: one query sequence against a model library,
+through the pressed catalog and the scan service."""
 
 import numpy as np
 import pytest
 
 from repro.errors import PipelineError
 from repro.hmm import sample_hmm
-from repro.pipeline import ModelLibrary, PipelineThresholds
-from repro.sequence import DigitalSequence, random_sequence_codes
+from repro.options import PipelineThresholds, SearchOptions
+from repro.scan import LibraryCatalog, PressSettings, ScanOptions, ScanService
+from repro.sequence import DigitalSequence, SequenceDatabase, random_sequence_codes
 
 
 @pytest.fixture(scope="module")
@@ -20,26 +22,33 @@ def models():
 
 @pytest.fixture(scope="module")
 def library(models):
-    return ModelLibrary(
-        models,
-        L=120,
-        calibration_filter_sample=150,
-        calibration_forward_sample=40,
-    )
+    return LibraryCatalog.press(models, settings=PressSettings(
+        L=120, calibration_filter_sample=150, calibration_forward_sample=40
+    ))
+
+
+def scan(library, seq, options=None):
+    db = SequenceDatabase([seq], name=seq.name)
+    return ScanService(library).scan(db, options)
+
+
+def msv_survivors(results):
+    """Models whose MSV filter passed the query."""
+    return sum(bool(st[0].n_out) for st in results.model_stages.values())
 
 
 class TestConstruction:
     def test_length_and_names(self, library, models):
         assert len(library) == 3
-        assert library.model_names() == [m.name for m in models]
+        assert library.names() == [m.name for m in models]
 
     def test_empty_rejected(self):
         with pytest.raises(PipelineError):
-            ModelLibrary([])
+            LibraryCatalog.press([])
 
     def test_duplicate_names_rejected(self, models):
         with pytest.raises(PipelineError):
-            ModelLibrary([models[0], models[0]])
+            LibraryCatalog.press([models[0], models[0]])
 
 
 class TestScanning:
@@ -52,17 +61,17 @@ class TestScanning:
                 f"member-of-{truth.name}",
                 np.concatenate([flank, dom]).astype(np.uint8),
             )
-            results = library.scan(seq)
+            results = scan(library, seq)
             assert results.hit_models() == [truth.name]
             assert results.n_models == 3
 
     def test_random_sequence_matches_nothing(self, library):
         rng = np.random.default_rng(10)
         seq = DigitalSequence("random", random_sequence_codes(150, rng))
-        results = library.scan(seq)
+        results = scan(library, seq)
         assert results.hits == []
         # the cascade short-circuits: few models get past MSV
-        assert results.msv_survivors <= 1
+        assert msv_survivors(results) <= 1
 
     def test_hits_sorted_by_evalue(self, library, models):
         rng = np.random.default_rng(11)
@@ -72,7 +81,7 @@ class TestScanning:
         seq = DigitalSequence(
             "chimera", np.concatenate([d0, d2]).astype(np.uint8)
         )
-        results = library.scan(seq)
+        results = scan(library, seq)
         assert len(results.hits) == 2
         assert {h.model_name for h in results.hits} == {
             models[0].name,
@@ -83,28 +92,22 @@ class TestScanning:
 
     def test_summary_renders(self, library, models):
         rng = np.random.default_rng(12)
-        seq = DigitalSequence(
-            "m", models[1].sample_sequence(rng)
-        )
-        text = library.scan(seq).summary()
+        seq = DigitalSequence("m", models[1].sample_sequence(rng))
+        text = scan(library, seq).summary()
         assert "models: 3" in text
 
     def test_evalue_uses_library_size(self, library, models):
         rng = np.random.default_rng(13)
         seq = DigitalSequence("m", models[0].sample_sequence(rng))
-        hit = library.scan(seq).hits[0]
+        hit = scan(library, seq).hits[0]
         assert hit.evalue == pytest.approx(hit.fwd_p * len(library))
 
-    def test_thresholds_respected(self, models):
+    def test_thresholds_respected(self, library, models):
         rng = np.random.default_rng(14)
         seq = DigitalSequence("m", models[0].sample_sequence(rng))
-        strict = ModelLibrary(
-            models,
-            L=120,
-            thresholds=PipelineThresholds(f1=1e-9),
-            calibration_filter_sample=100,
-            calibration_forward_sample=30,
+        strict = ScanOptions(
+            search=SearchOptions(thresholds=PipelineThresholds(f1=1e-9))
         )
         # an astronomically strict MSV gate blocks everything ordinary
-        results = strict.scan(seq)
-        assert results.msv_survivors <= 1
+        results = scan(library, seq, strict)
+        assert msv_survivors(results) <= 1

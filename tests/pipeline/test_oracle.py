@@ -3,13 +3,11 @@ reference, deterministic sampling, and divergence handling."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.errors import DivergenceError
-from repro.hardening import SALVAGE, STRICT, RecordQuarantine
+from repro.engines import resolve
+from repro.hardening import SALVAGE, STRICT
+from repro.options import SearchOptions
 from repro.pipeline.oracle import (
     FORWARD_ABS_TOL,
     Divergence,
@@ -17,7 +15,7 @@ from repro.pipeline.oracle import (
     sample_indices,
     scores_match,
 )
-from repro.pipeline.pipeline import Engine, HmmsearchPipeline
+from repro.pipeline.pipeline import HmmsearchPipeline
 
 
 class TestSampling:
@@ -85,12 +83,14 @@ class TestReportRoundtrip:
 
 
 class TestCleanSelfcheck:
-    @pytest.mark.parametrize("engine", [Engine.CPU_SSE, Engine.GPU_WARP])
+    @pytest.mark.parametrize("engine", [resolve("cpu_sse"), resolve("gpu_warp")])
     def test_no_divergence_on_healthy_engines(
         self, medium_hmm, medium_database, engine
     ):
         pipe = HmmsearchPipeline(medium_hmm, L=220)
-        res = pipe.search(medium_database, engine=engine, selfcheck=6)
+        res = pipe.search(
+            medium_database, SearchOptions(engine=engine, selfcheck=6)
+        )
         assert res.oracle is not None
         assert res.oracle.checked == 6
         assert res.oracle.ok
@@ -104,12 +104,12 @@ class TestCleanSelfcheck:
     def test_selfcheck_does_not_change_hits(self, medium_hmm, medium_database):
         pipe = HmmsearchPipeline(medium_hmm, L=220)
         plain = pipe.search(medium_database)
-        checked = pipe.search(medium_database, selfcheck=8)
+        checked = pipe.search(medium_database, SearchOptions(selfcheck=8))
         assert [h.name for h in checked.hits] == [h.name for h in plain.hits]
 
     def test_summary_mentions_selfcheck(self, medium_hmm, medium_database):
         pipe = HmmsearchPipeline(medium_hmm, L=220)
-        res = pipe.search(medium_database, selfcheck=4)
+        res = pipe.search(medium_database, SearchOptions(selfcheck=4))
         assert "selfcheck" in res.summary()
 
 
@@ -136,8 +136,7 @@ class TestInjectedDivergence:
             pool=DevicePool([KEPLER_K40], name="k40x1"),
             fault_plan=plan,
             retry_policy=RetryPolicy(verify_shards=False),
-            selfcheck=6,
-            policy=policy,
+            options=SearchOptions(selfcheck=6, policy=policy),
         )
 
     def test_strict_fails_naming_sequence_and_stage(

@@ -7,8 +7,9 @@ from repro.errors import PipelineError
 from repro.gpu import FERMI_GTX580
 from repro.hmm import sample_hmm
 from repro.kernels import MemoryConfig
-from repro.pipeline import Engine, HmmsearchPipeline, PipelineThresholds
-from repro.sequence import envnr_like, homolog_database
+from repro.options import SearchOptions
+from repro.pipeline import HmmsearchPipeline, PipelineThresholds
+from repro.sequence import homolog_database
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ class TestEngineEquivalence:
     """GPU-accelerated pipeline must reproduce the CPU pipeline exactly."""
 
     def test_gpu_identical_hits(self, pipe, db, cpu_results):
-        gpu = pipe.search(db, engine=Engine.GPU_WARP)
+        gpu = pipe.search(db, SearchOptions(engine="gpu_warp"))
         assert gpu.hit_names() == cpu_results.hit_names()
         assert np.allclose(
             gpu.msv_bits, cpu_results.msv_bits, equal_nan=True
@@ -122,14 +123,16 @@ class TestEngineEquivalence:
     def test_gpu_fermi_global_identical(self, pipe, db, cpu_results):
         gpu = pipe.search(
             db,
-            engine=Engine.GPU_WARP,
-            device=FERMI_GTX580,
-            config=MemoryConfig.GLOBAL,
+            SearchOptions(
+                engine="gpu_warp",
+                device=FERMI_GTX580,
+                config=MemoryConfig.GLOBAL,
+            ),
         )
         assert gpu.hit_names() == cpu_results.hit_names()
 
     def test_gpu_collects_counters(self, pipe, db):
-        gpu = pipe.search(db, engine=Engine.GPU_WARP)
+        gpu = pipe.search(db, SearchOptions(engine="gpu_warp"))
         assert "msv" in gpu.counters
         assert gpu.counters["msv"].syncthreads == 0
         # overflowed sequences stop scoring early, so rows processed can
@@ -181,7 +184,7 @@ class TestCalibration:
 
 class TestHitAlignments:
     def test_alignments_attached_on_request(self, pipe, db):
-        results = pipe.search(db, alignments=True)
+        results = pipe.search(db, SearchOptions(alignments=True))
         assert results.hits, "fixture database must produce hits"
         for hit in results.hits:
             assert hit.alignment is not None
@@ -195,7 +198,7 @@ class TestHitAlignments:
             assert hit.alignment is None
 
     def test_alignment_points_at_scoring_region(self, pipe, db):
-        results = pipe.search(db, alignments=True)
+        results = pipe.search(db, SearchOptions(alignments=True))
         hit = results.hits[0]
         dom = max(
             hit.alignment.domains, key=lambda d: d.seq_end - d.seq_start

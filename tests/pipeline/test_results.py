@@ -131,6 +131,7 @@ class TestSerialization:
     def test_live_search_serializes(self):
         """A real pipeline result (alignments on) survives strict JSON."""
         from repro.hmm import sample_hmm
+        from repro.options import SearchOptions
         from repro.pipeline import HmmsearchPipeline
         from repro.sequence import DigitalSequence, SequenceDatabase, random_sequence_codes
 
@@ -142,7 +143,9 @@ class TestSerialization:
         ]
         seqs.append(DigitalSequence("hom", hmm.sample_sequence(rng)))
         pipe = HmmsearchPipeline(hmm, L=80)
-        results = pipe.search(SequenceDatabase(seqs), alignments=True)
+        results = pipe.search(
+            SequenceDatabase(seqs), SearchOptions(alignments=True)
+        )
         assert results.hits
         payload = json.dumps(results.to_dict(), allow_nan=False)
         back = SearchResults.from_dict(json.loads(payload))

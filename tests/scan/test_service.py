@@ -1,16 +1,15 @@
 """ScanService: engine/fault/permutation invariance of scan hits, span
-structure, scheduling statistics, and the ModelLibrary front end."""
+structure, scheduling statistics, and one-sequence (hmmscan) queries."""
 
 import numpy as np
 import pytest
 
-from repro.kernels.memconfig import MemoryConfig
 from repro.hmm import sample_hmm
 from repro.obs.span import Tracer
-from repro.options import Engine, PipelineThresholds, SearchOptions
-from repro.pipeline import ModelLibrary
+from repro.options import PipelineThresholds, SearchOptions
 from repro.scan import LibraryCatalog, PressSettings, ScanOptions, ScanService
 from repro.service import DevicePool, FaultPlan, MetricsRegistry
+from repro.sequence import SequenceDatabase
 from repro.sequence.synthetic import homolog_database
 
 SETTINGS = PressSettings(
@@ -38,6 +37,11 @@ def database(models):
         10, 90.0, np.random.default_rng(5), hmm=models[1],
         homolog_fraction=0.5, name="targets",
     )
+
+
+def _one(seq):
+    """A one-sequence database: the hmmscan query shape."""
+    return SequenceDatabase([seq], name=seq.name)
 
 
 def _keys(results):
@@ -108,7 +112,7 @@ class TestInvariance:
         cpu = ScanService(catalog).scan(database)
         gpu = ScanService(catalog).scan(
             database,
-            ScanOptions(search=SearchOptions(engine=Engine.GPU_WARP)),
+            ScanOptions(search=SearchOptions(engine="gpu_warp")),
         )
         assert _keys(gpu) == _keys(cpu)
         assert gpu.fallbacks == 0
@@ -130,7 +134,7 @@ class TestInvariance:
         )
         faulted = ScanService(catalog, pool=pool, fault_plan=plan).scan(
             database,
-            ScanOptions(search=SearchOptions(engine=Engine.GPU_WARP)),
+            ScanOptions(search=SearchOptions(engine="gpu_warp")),
         )
         assert _keys(faulted) == _keys(baseline)
 
@@ -140,7 +144,7 @@ class TestInvariance:
         service = ScanService(catalog, pool=pool)
         results = service.scan(
             database,
-            ScanOptions(search=SearchOptions(engine=Engine.GPU_WARP)),
+            ScanOptions(search=SearchOptions(engine="gpu_warp")),
         )
         assert results.fallbacks == len(
             [g for b in service.plan().buckets for g in b.groups]
@@ -171,7 +175,7 @@ class TestScheduling:
         service = ScanService(catalog, pool=pool)
         service.scan(
             database,
-            ScanOptions(search=SearchOptions(engine=Engine.GPU_WARP)),
+            ScanOptions(search=SearchOptions(engine="gpu_warp")),
         )
         launches = sum(
             len(b.groups) for b in service.plan().buckets
@@ -183,7 +187,7 @@ class TestScheduling:
         service = ScanService(catalog, pool=pool)
         service.scan(
             database,
-            ScanOptions(search=SearchOptions(engine=Engine.GPU_WARP)),
+            ScanOptions(search=SearchOptions(engine="gpu_warp")),
         )
         slot = pool.slots[0]
         assert slot.sequences == 10 * 3  # every model scored the database
@@ -231,41 +235,31 @@ class TestObservability:
 
 
 class TestModelLibraryFrontEnd:
-    def test_scan_single_sequence(self, models, database):
-        library = ModelLibrary(
-            models, L=100,
-            calibration_filter_sample=80, calibration_forward_sample=25,
-        )
-        planted = next(
-            s for s in database
-            if ScanService(library.catalog).scan(database).hits_for(s.name)
-        )
-        results = library.scan(planted)
+    """One query sequence (a one-entry database) against the library."""
+
+    def test_scan_single_sequence(self, catalog, database):
+        full = ScanService(catalog).scan(database)
+        planted = next(s for s in database if full.hits_for(s.name))
+        results = ScanService(catalog).scan(_one(planted))
         assert results.n_models == 3
+        assert results.n_sequences == 1
         assert "fam40" in results.hit_models()
-        assert results.msv_survivors >= 1
+        assert results.model_stages["fam40"][0].n_out >= 1
         assert "models: 3" in results.summary()
 
     def test_front_end_permutation_invariance(self, models, database):
-        kw = dict(L=100, calibration_filter_sample=80,
-                  calibration_forward_sample=25)
-        forward = ModelLibrary(models, **kw)
-        backward = ModelLibrary(models[::-1], **kw)
-        for seq in list(database)[:4]:
-            a = forward.scan(seq)
-            b = backward.scan(seq)
-            assert [
-                (h.model_name, h.fwd_bits, h.evalue) for h in a.hits
-            ] == [(h.model_name, h.fwd_bits, h.evalue) for h in b.hits]
-            assert a.msv_survivors == b.msv_survivors
-
-    def test_gpu_view_matches_cpu(self, models, database):
-        library = ModelLibrary(
-            models, L=100,
-            calibration_filter_sample=80, calibration_forward_sample=25,
+        forward, backward = (
+            ScanService(LibraryCatalog.press(order, settings=SETTINGS))
+            for order in (models, models[::-1])
         )
-        seq = list(database)[0]
-        cpu = library.scan(seq)
-        gpu = library.gpu().scan(seq)
-        assert [h.model_name for h in gpu.hits] == \
-            [h.model_name for h in cpu.hits]
+        for seq in list(database)[:4]:
+            a, b = forward.scan(_one(seq)), backward.scan(_one(seq))
+            assert _keys(a) == _keys(b)
+            assert [st.n_out for st in a.model_stages["fam40"]] == \
+                [st.n_out for st in b.model_stages["fam40"]]
+
+    def test_gpu_view_matches_cpu(self, catalog, database):
+        seq = _one(list(database)[0])
+        gpu = ScanOptions(search=SearchOptions(engine="gpu_warp"))
+        assert _keys(ScanService(catalog).scan(seq, gpu)) == \
+            _keys(ScanService(catalog).scan(seq))

@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.errors import FormatError
 from repro.hardening import SALVAGE, STRICT
 from repro.hmm import sample_hmm, save_hmm
+from repro.options import SearchOptions
 from repro.sequence import DigitalSequence, write_fasta, random_sequence_codes
 from repro.service import BatchSearchService, JobState, submit_manifest
 
@@ -48,7 +49,7 @@ def corpus(tmp_path):
 
 
 def _run_batch(tmp_path, database, policy):
-    service = BatchSearchService(policy=policy)
+    service = BatchSearchService(options=SearchOptions(policy=policy))
     manifest = tmp_path / f"{database}.json"
     manifest.write_text(json.dumps({
         "jobs": [
@@ -117,7 +118,7 @@ class TestManifestSalvage:
             {"id": "good", "model": "dp.hmm", "database": "clean.fasta"},
             {"id": "gone", "model": "missing.hmm", "database": "clean.fasta"},
         ]}))
-        service = BatchSearchService(policy=SALVAGE)
+        service = BatchSearchService(options=SearchOptions(policy=SALVAGE))
         jobs = submit_manifest(service, manifest, policy=SALVAGE)
         assert len(jobs) == 1  # only the usable job was submitted
         service.run()

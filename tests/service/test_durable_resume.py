@@ -171,6 +171,23 @@ class TestStaleFingerprint:
         with pytest.raises(JournalCorruptError, match="wal-job"):
             run_once(path, self._other_workload(), cache, policy=STRICT)
 
+    def test_entry_without_fingerprint_is_stale(self, tmp_path, workload,
+                                                cache, reference_digest):
+        """``record()`` always writes a fingerprint, so a job entry
+        lacking one is never resumed: strict raises, salvage recomputes."""
+        path = tmp_path / "run.wal"
+        journal = DurableRunJournal(path, resume=False, fsync=False)
+        journal.append("job", job_id="wal-job", state="done",
+                       digest="0" * 64, n_targets=0, n_hits=0)
+        journal.close()
+        with pytest.raises(JournalCorruptError, match="wal-job"):
+            run_once(path, workload, cache, policy=STRICT)
+        service, journal = run_once(path, workload, cache, policy=SALVAGE)
+        (record,) = service.metrics.records
+        assert record.resumed is False
+        assert service.metrics.resilience.stale_checkpoints == 1
+        assert journal.completed("wal-job")["digest"] == reference_digest
+
     def test_salvage_discards_and_recomputes(self, tmp_path, workload,
                                              cache):
         path = tmp_path / "run.wal"

@@ -1,7 +1,7 @@
 """Fault injection: device failures degrade to the CPU engine.
 
 When a simulated device raises :class:`LaunchError` the scheduler
-retries the job on ``Engine.CPU_SSE``.  Accuracy preservation makes the
+retries the job on the ``cpu_sse`` engine.  Accuracy preservation makes the
 degraded results identical to the fault-free run - the property these
 tests pin down, along with the metrics trail the incident leaves.
 """
@@ -9,7 +9,9 @@ tests pin down, along with the metrics trail the incident leaves.
 import numpy as np
 import pytest
 
-from repro import Engine, sample_hmm
+from repro import sample_hmm
+from repro.engines import resolve
+from repro.options import SearchOptions
 from repro.errors import LaunchError
 from repro.service import (
     BatchSearchService,
@@ -79,8 +81,8 @@ class TestRetryFallback:
         faulty_service.run()
 
         assert faulty.state is JobState.DONE
-        assert faulty.fallback_engine is Engine.CPU_SSE
-        assert faulty.effective_engine is Engine.CPU_SSE
+        assert faulty.fallback_engine is resolve("cpu_sse")
+        assert faulty.effective_engine is resolve("cpu_sse")
         assert faulty.attempts == 2
         assert faulty.error and "injected fault" in faulty.error
         assert faulty.results.hit_names() == clean.results.hit_names()
@@ -96,7 +98,7 @@ class TestRetryFallback:
         first = service.submit(hmm, db, settings=SETTINGS)
         second = service.submit(hmm, db, settings=SETTINGS)
         service.run()
-        assert first.fallback_engine is Engine.CPU_SSE
+        assert first.fallback_engine is resolve("cpu_sse")
         assert second.fallback_engine is None
         assert first.results.hit_names() == second.results.hit_names()
 
@@ -106,7 +108,7 @@ class TestRetryFallback:
         for slot in service.pool.slots:
             slot.inject_fault(5)
         job = service.submit(
-            hmm, db, engine=Engine.CPU_SSE, settings=SETTINGS
+            hmm, db, engine=resolve("cpu_sse"), settings=SETTINGS
         )
         service.run()
         assert job.state is JobState.DONE
@@ -130,8 +132,6 @@ class TestRetryFallback:
         """Non-launch errors are terminal: FAILED state, error recorded,
         scheduler keeps serving later jobs."""
         hmm, db = workload
-        from repro.pipeline import PipelineThresholds
-
         service = BatchSearchService(pool=DevicePool.homogeneous(count=1))
         bad = service.submit(hmm, db, settings=SETTINGS)
         bad.thresholds = None
@@ -169,7 +169,9 @@ class TestPoolExecutor:
         pool = DevicePool.homogeneous(count=2)
         executor = PoolExecutor(pool)
         pipeline = SETTINGS.build(hmm)
-        pipeline.search(db, engine=Engine.GPU_WARP, executor=executor)
+        pipeline.search(
+            db, SearchOptions(engine="gpu_warp"), executor=executor
+        )
         # MSV always dispatches; Viterbi only if anything survived
         assert executor.stage_dispatches >= 1
         assert pool.slots[0].dispatches == executor.stage_dispatches
@@ -183,7 +185,9 @@ class TestPoolExecutor:
         executor = PoolExecutor(pool)
         pipeline = SETTINGS.build(hmm)
         with pytest.raises(LaunchError):
-            pipeline.search(db, engine=Engine.GPU_WARP, executor=executor)
+            pipeline.search(
+                db, SearchOptions(engine="gpu_warp"), executor=executor
+            )
         assert not any(slot.inflight for slot in pool.slots)
         assert executor.failed_dispatches == 1
         assert executor.stage_dispatches == 0

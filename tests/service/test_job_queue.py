@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import Engine, sample_hmm
+from repro import sample_hmm
+from repro.engines import resolve
 from repro.errors import PipelineError
 from repro.sequence import (
     DigitalSequence,
@@ -73,8 +74,8 @@ class TestJobIds:
 
     def test_id_depends_on_engine(self, hmm, db):
         q = JobQueue()
-        gpu = q.submit(hmm, db, engine=Engine.GPU_WARP)
-        cpu = q.submit(hmm, db, engine=Engine.CPU_SSE)
+        gpu = q.submit(hmm, db, engine=resolve("gpu_warp"))
+        cpu = q.submit(hmm, db, engine=resolve("cpu_sse"))
         assert gpu.job_id.split("-")[2] != cpu.job_id.split("-")[2]
 
     def test_id_depends_on_model(self, hmm, db):
@@ -93,10 +94,10 @@ class TestLifecycle:
         assert job.attempts == 0
 
     def test_effective_engine_tracks_fallback(self, hmm, db):
-        job = JobQueue().submit(hmm, db, engine=Engine.GPU_WARP)
-        assert job.effective_engine is Engine.GPU_WARP
-        job.fallback_engine = Engine.CPU_SSE
-        assert job.effective_engine is Engine.CPU_SSE
+        job = JobQueue().submit(hmm, db, engine=resolve("gpu_warp"))
+        assert job.effective_engine is resolve("gpu_warp")
+        job.fallback_engine = resolve("cpu_sse")
+        assert job.effective_engine is resolve("cpu_sse")
 
     def test_requeue_rejects_finished_jobs(self, hmm, db):
         q = JobQueue()

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import Engine
+from repro.engines import resolve
 from repro.errors import FormatError
 from repro.hmm import sample_hmm, save_hmm
 from repro.sequence import (
@@ -126,9 +126,9 @@ class TestSubmitManifest:
             calibration_forward_sample=25,
         )
         assert len(jobs) == 3
-        assert jobs[0].engine is Engine.GPU_WARP
+        assert jobs[0].engine is resolve("gpu_warp")
         assert jobs[0].settings.L == 60
-        assert jobs[2].engine is Engine.CPU_SSE
+        assert jobs[2].engine is resolve("cpu_sse")
         assert jobs[2].priority == 7
         assert jobs[2].settings.L == 80
         # repeated model paths reuse the loaded object

@@ -6,8 +6,6 @@ counts, device health and the event log - they never change the
 reported hits.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from repro.errors import LaunchError, PipelineError, ShardIntegrityError
 from repro.gpu import KEPLER_K40
 from repro.gpu.counters import KernelCounters
 from repro.gpu.multi_gpu import score_chunk
+from repro.hardening import SALVAGE, STRICT
 from repro.hmm import SearchProfile
 from repro.kernels import msv_warp_kernel
 from repro.kernels.memconfig import MemoryConfig
@@ -28,6 +27,7 @@ from repro.sequence import (
 )
 from repro.service import (
     BatchSearchService,
+    DurableRunJournal,
     DeviceHealth,
     DevicePool,
     FaultKind,
@@ -37,7 +37,6 @@ from repro.service import (
     PipelineSettings,
     ResilientExecutor,
     RetryPolicy,
-    RunJournal,
     Scheduler,
     result_digest,
 )
@@ -384,6 +383,8 @@ class TestChaosEquivalence:
 
 
 class TestRunJournal:
+    """Job-granular checkpoint/resume through the WAL v2 run journal."""
+
     def _submit_all(self, service, workload):
         hmm, db = workload
         return [
@@ -394,25 +395,27 @@ class TestRunJournal:
     def test_interrupted_batch_resumes_without_recomputing(
         self, tmp_path, workload
     ):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.wal"
         first = BatchSearchService(
             pool=DevicePool.homogeneous(count=2),
             fault_plan=FaultPlan([]),
-            journal=RunJournal(path, resume=False),
+            journal=DurableRunJournal(path, resume=False, fsync=False),
         )
         self._submit_all(first, workload)
         # "crash" after two of three jobs
         first.scheduler.execute(first.queue.pop())
         first.scheduler.execute(first.queue.pop())
         assert len(first.journal) == 2
+        first.journal.close()
 
         second = BatchSearchService(
             pool=DevicePool.homogeneous(count=2),
             fault_plan=FaultPlan([]),
-            journal=RunJournal(path, resume=True),
+            journal=DurableRunJournal(path, resume=True, fsync=False),
         )
         jobs = self._submit_all(second, workload)
         second.run()
+        second.journal.close()
         assert all(j.state is JobState.DONE for j in jobs)
         assert [j.resumed for j in jobs] == [True, True, False]
         assert second.metrics.resumed_jobs == 2
@@ -430,39 +433,48 @@ class TestRunJournal:
         assert len(second.journal) == 3
 
     def test_journal_digest_matches_results(self, tmp_path, workload):
-        path = tmp_path / "run.jsonl"
         service = BatchSearchService(
             pool=DevicePool.homogeneous(count=2),
             fault_plan=FaultPlan([]),
-            journal=RunJournal(path, resume=False),
+            journal=DurableRunJournal(
+                tmp_path / "run.wal", resume=False, fsync=False
+            ),
         )
         hmm, db = workload
         job = service.submit(hmm, db, settings=SETTINGS)
         service.run()
+        service.journal.close()
         entry = service.journal.completed(job.job_id)
         assert entry["digest"] == result_digest(job.results)
         assert entry["n_targets"] == job.results.n_targets
 
+    @staticmethod
+    def _journal(path, *jobs, resume=True, policy=STRICT):
+        """Reopen ``path``, append ``(job_id, state)`` job records, close."""
+        journal = DurableRunJournal(path, resume=resume, policy=policy,
+                                    fsync=False)
+        for job_id, state in jobs:
+            journal.append("job", job_id=job_id, state=state, digest="d")
+        journal.close()
+        return journal
+
     def test_truncated_trailing_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        good = {"job_id": "a", "state": "done", "digest": "d"}
-        path.write_text(json.dumps(good) + "\n" + '{"job_id": "b", "sta')
-        journal = RunJournal(path, resume=True)
-        assert len(journal) == 1
+        path = tmp_path / "run.wal"
+        self._journal(path, ("a", "done"), ("b", "done"), resume=False)
+        path.write_bytes(path.read_bytes()[:-5])  # tear the last record
+        journal = self._journal(path, policy=SALVAGE)
+        assert len(journal) == 1 and journal.salvaged_bytes > 0
         assert journal.completed("a") is not None
         assert journal.completed("b") is None
 
     def test_failed_entries_are_not_resumable(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        path.write_text(
-            json.dumps({"job_id": "a", "state": "failed"}) + "\n"
-        )
-        assert RunJournal(path, resume=True).completed("a") is None
+        path = tmp_path / "run.wal"
+        self._journal(path, ("a", "failed"), resume=False)
+        assert self._journal(path).completed("a") is None
 
     def test_resume_false_truncates(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        path.write_text(
-            json.dumps({"job_id": "a", "state": "done"}) + "\n"
-        )
-        journal = RunJournal(path, resume=False)
-        assert len(journal) == 0 and not path.exists()
+        path = tmp_path / "run.wal"
+        self._journal(path, ("a", "done"), resume=False)
+        fresh = self._journal(path, resume=False)
+        assert len(fresh) == 0 and fresh.completed("a") is None
+        assert fresh.generation == 1

@@ -9,7 +9,9 @@ directly, on both engines.  Accuracy is never traded for scheduling.
 import numpy as np
 import pytest
 
-from repro import Engine, FERMI_GTX580, KEPLER_K40, sample_hmm
+from repro import FERMI_GTX580, KEPLER_K40, sample_hmm
+from repro.engines import resolve
+from repro.options import SearchOptions
 from repro.service import (
     BatchSearchService,
     DevicePool,
@@ -46,8 +48,8 @@ def direct(workload):
     hmm, db = workload
     pipe = SETTINGS.build(hmm)
     return {
-        Engine.CPU_SSE: pipe.search(db, engine=Engine.CPU_SSE),
-        Engine.GPU_WARP: pipe.search(db, engine=Engine.GPU_WARP),
+        resolve("cpu_sse"): pipe.search(db, SearchOptions(engine="cpu_sse")),
+        resolve("gpu_warp"): pipe.search(db, SearchOptions(engine="gpu_warp")),
     }
 
 
@@ -62,7 +64,7 @@ POOLS = [
 
 class TestEquivalence:
     @pytest.mark.parametrize("make_pool", POOLS)
-    @pytest.mark.parametrize("engine", [Engine.CPU_SSE, Engine.GPU_WARP])
+    @pytest.mark.parametrize("engine", [resolve("cpu_sse"), resolve("gpu_warp")])
     def test_service_matches_direct_search(
         self, workload, direct, make_pool, engine
     ):
@@ -88,9 +90,9 @@ class TestEquivalence:
     def test_engines_agree_through_the_service(self, workload):
         hmm, db = workload
         service = BatchSearchService(pool=DevicePool.heterogeneous(1, 2))
-        gpu = service.submit(hmm, db, engine=Engine.GPU_WARP,
+        gpu = service.submit(hmm, db, engine=resolve("gpu_warp"),
                              settings=SETTINGS)
-        cpu = service.submit(hmm, db, engine=Engine.CPU_SSE,
+        cpu = service.submit(hmm, db, engine=resolve("cpu_sse"),
                              settings=SETTINGS)
         service.run()
         assert gpu.results.hit_names() == cpu.results.hit_names()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.hmm import sample_hmm, save_hmm
-from repro.options import Engine
+from repro.engines import resolve
 from repro.sequence import DigitalSequence, write_fasta, random_sequence_codes
 
 
@@ -45,7 +45,7 @@ class TestParser:
         assert args.model_size == 200
         # argparse applies the registry-resolving type= converter to the
         # string default, so the parsed value is an interned selection
-        assert args.engine is Engine.GPU_WARP
+        assert args.engine is resolve("gpu_warp")
         assert args.engine.value == "gpu_warp"
 
 

@@ -1,5 +1,5 @@
 """The pluggable engine registry: resolution, interning, per-stage
-overrides, the deprecation shim and third-party registration."""
+overrides and third-party registration."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro import engines
 from repro.engines import EngineSelection, EngineSpec
 from repro.errors import UnknownEngineError
 from repro.hmm import sample_hmm
-from repro.options import Engine, SearchOptions
+from repro.options import SearchOptions
 from repro.sequence.synthetic import homolog_database
 
 
@@ -15,8 +15,8 @@ class TestResolve:
     def test_bare_names_and_aliases_intern(self):
         assert engines.resolve("cpu_sse") is engines.resolve("cpu")
         assert engines.resolve("gpu") is engines.resolve("gpu_warp")
-        assert engines.resolve("cpu_sse") is Engine.CPU_SSE
-        assert engines.resolve("gpu_warp") is Engine.GPU_WARP
+        assert SearchOptions(engine="gpu").engine is engines.resolve("gpu_warp")
+        assert SearchOptions(engine="gpu").engine.value == "gpu_warp"
 
     def test_unknown_engine_names_the_registry(self):
         with pytest.raises(UnknownEngineError) as exc:
@@ -63,18 +63,6 @@ class TestResolve:
     def test_selection_resolves_to_itself(self):
         sel = engines.resolve("gpu_warp_batched")
         assert engines.resolve(sel) is sel
-
-
-class TestDeprecationShim:
-    def test_coerce_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning):
-            sel = Engine.coerce("cpu")
-        assert sel is Engine.CPU_SSE
-
-    def test_legacy_identity_checks_still_hold(self):
-        opts = SearchOptions(engine="gpu")
-        assert opts.engine is Engine.GPU_WARP
-        assert opts.engine.value == "gpu_warp"
 
 
 class TestRegistration:

@@ -3,7 +3,7 @@
 A production search tool is judged by how it handles garbage: truncated
 model files, alignment rows of ragged width, probability tables that do
 not normalize, sequences carrying illegal codes, devices with impossible
-resources.  Every failure here must raise a :class:`repro.ReproError`
+resources.  Every failure here must raise a :class:`repro.errors.ReproError`
 subclass with the offending detail - never produce wrong scores.
 """
 
@@ -21,7 +21,7 @@ from repro.errors import (
     ModelError,
     SequenceError,
 )
-from repro.hmm import dumps_hmm, loads_hmm, sample_hmm
+from repro.hmm import Plan7HMM, dumps_hmm, loads_hmm, sample_hmm
 
 
 @pytest.fixture
@@ -52,13 +52,13 @@ class TestCorruptedModelFiles:
         bad = hmm.match_emissions.copy()
         bad[0, 0] = -bad[0, 0]
         with pytest.raises(ModelError):
-            repro.Plan7HMM("x", bad, hmm.insert_emissions, hmm.transitions)
+            Plan7HMM("x", bad, hmm.insert_emissions, hmm.transitions)
 
     def test_nan_probability(self, hmm):
         bad = hmm.transitions.copy()
         bad[0, 0] = float("nan")
         with pytest.raises(ModelError):
-            repro.Plan7HMM("x", hmm.match_emissions, hmm.insert_emissions, bad)
+            Plan7HMM("x", hmm.match_emissions, hmm.insert_emissions, bad)
 
     def test_empty_file(self):
         with pytest.raises(FormatError):

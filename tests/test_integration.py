@@ -13,11 +13,12 @@ import pytest
 
 import repro
 from repro.cpu import domain_regions, posterior_decode
+from repro.cpu.hmmalign import align_to_profile
 from repro.hmm import SearchProfile
-from repro.pipeline import ModelLibrary
+from repro.options import SearchOptions
+from repro.scan import PressSettings
 from repro.sequence import (
     StockholmAlignment,
-    parse_stockholm_text,
     random_sequence_codes,
     write_stockholm,
 )
@@ -85,8 +86,8 @@ def test_full_story(family, tmp_path):
         calibration_filter_sample=150,
         calibration_forward_sample=40,
     )
-    cpu = pipeline.search(database, alignments=True)
-    gpu = pipeline.search(database, engine=repro.Engine.GPU_WARP)
+    cpu = pipeline.search(database, SearchOptions(alignments=True))
+    gpu = pipeline.search(database, SearchOptions(engine="gpu_warp"))
     assert cpu.hit_names() == gpu.hit_names()
     found = set(cpu.hit_names())
     assert {f"member{i}" for i in range(4)} <= found
@@ -119,17 +120,21 @@ def test_full_story(family, tmp_path):
 
     # --- 6. hmmscan: a hit sequence scanned against a library finds
     #        this family and not others ---
-    library = ModelLibrary(
+    library = repro.press_library(
         [
             model,
             repro.sample_hmm(30, np.random.default_rng(1), name="otherA"),
             repro.sample_hmm(60, np.random.default_rng(2), name="otherB"),
         ],
-        L=150,
-        calibration_filter_sample=100,
-        calibration_forward_sample=30,
+        settings=PressSettings(
+            L=150, calibration_filter_sample=100,
+            calibration_forward_sample=30,
+        ),
     )
-    scan = library.scan(database[cpu.hits[0].index])
+    query = database[cpu.hits[0].index]
+    scan = repro.scan(
+        library, repro.SequenceDatabase([query], name=query.name)
+    )
     assert scan.hit_models() == ["PFTEST"]
 
 
@@ -140,7 +145,7 @@ def test_hmmalign_of_recovered_hits(family):
     model = repro.build_hmm_from_msa(rows, name="PFTEST")
     profile = SearchProfile(model, L=80)
     members = [truth.sample_sequence(rng) for _ in range(10)]
-    msa = repro.align_to_profile(profile, members)
+    msa = align_to_profile(profile, members)
     rebuilt = repro.build_hmm_from_msa(msa, symfrac=0.6)
     matches = sum(
         1 for a, b in zip(rebuilt.consensus, model.consensus) if a == b
