@@ -11,7 +11,7 @@ speedup peaks at mid sizes.
 
 import numpy as np
 
-from repro import MemoryConfig, PAPER_MODEL_SIZES, Stage, stage_speedup
+from repro import MemoryConfig, Stage, stage_speedup
 
 from conftest import write_table
 

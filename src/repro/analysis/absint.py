@@ -87,6 +87,7 @@ PROVE_TARGETS: Tuple[str, ...] = (
     "src/repro/cpu/striped.py",
     "src/repro/cpu/msv_striped.py",
     "src/repro/cpu/viterbi_striped.py",
+    "src/repro/cpu/viterbi_reference.py",
     "src/repro/scoring/msv_profile.py",
     "src/repro/scoring/vit_profile.py",
 )
@@ -108,6 +109,7 @@ _MODULE_SYSTEMS: Dict[str, Optional[str]] = {
     "src/repro/cpu/striped.py": None,
     "src/repro/cpu/msv_striped.py": "u8",
     "src/repro/cpu/viterbi_striped.py": "i16",
+    "src/repro/cpu/viterbi_reference.py": "i16",
     "src/repro/scoring/msv_profile.py": "u8",
     "src/repro/scoring/vit_profile.py": "i16",
 }

@@ -20,7 +20,7 @@ through metrics and the observability layer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np

@@ -188,8 +188,7 @@ def batch_search(
             job_opts = None
         else:
             hmm, database, job_opts = request
-        engine = (job_opts or opts).engine
-        service.submit(hmm, database, engine=engine, options=job_opts)
+        service.submit(hmm, database, options=job_opts or opts)
     jobs = service.run()
     return jobs, service.metrics.render()
 

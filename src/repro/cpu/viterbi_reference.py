@@ -14,12 +14,27 @@ The per-row recurrence for target residue ``x_i`` at node ``j`` (0-based)::
     xC    = max(xC, xE + E_move);  xJ = max(xJ, xE + E_loop)
     xB    = max(base + NJ_move, xJ + NJ_move)
 
-Saturating adds are applied exactly where HMMER applies them.  The D
-within-row chain is computed *exactly* with a max-plus prefix scan (see
-``_exact_d_chain``): because every D->D step cost is non-positive, the
-scan followed by flooring at -32768 is provably identical to the serial
-saturating recurrence - the property that lets the striped Lazy-F and the
-warp-parallel Lazy-F terminate early without changing any score.
+Two implementations of it live here.  :func:`viterbi_score_sequence` is
+the spec, row at a time: every term goes through the per-term saturating
+add :func:`~repro.scoring.quantized.sat_add_i16`, exactly where HMMER
+applies ``_mm_adds_epi16``.  :func:`viterbi_score_batch` is the fused
+form that calibration and the ``cpu_sse`` engine run, and it is checked
+against the spec.  Its exactness rests on one fact: the clip to
+``[-32768, 32767]`` is monotone, so it commutes with ``max`` -
+``max(clip(a), clip(b)) == clip(max(a, b))``.  Hence the entry terms are
+summed and maxed unclipped in a wide int32 carrier and clipped once, and
+``Iv`` is one clip of the max of its two sums.  Every addend is a word
+in ``[-32768, 32767]``, so no int32 sum of two of them can wrap.
+
+The D within-row chain is computed *exactly* with a max-plus prefix scan
+(see :func:`exact_d_chain`): because every D->D step cost is
+non-positive, the scan followed by flooring at -32768 is provably
+identical to the serial saturating recurrence - the property that lets
+the striped Lazy-F and the warp-parallel Lazy-F terminate early without
+changing any score.  The scan's carrier ``c[j] = sum_{t<j} tdd[t]`` is
+int64: it falls by up to 32768 per node, so an int32 carrier would wrap
+once ``M >= 65535``, while int64 holds ``32768 * M`` for any model that
+fits in memory.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ import numpy as np
 from ..constants import VF_WORD_MIN
 from ..errors import KernelError
 from ..scoring.guardrails import GuardrailCounters
-from ..scoring.quantized import sat_add_i16
+from ..scoring.quantized import clip_i16, sat_add_i16
 from ..scoring.vit_profile import ViterbiWordProfile
 from ..sequence.database import PaddedBatch, SequenceDatabase
 from .results import FilterScores
@@ -62,11 +77,11 @@ def exact_d_chain(m_row: np.ndarray, tmd: np.ndarray, tdd: np.ndarray) -> np.nda
     g = start - c[1 : M + 1]  # g[i] = start[i] - c[i+1], broadcasts over batch
     h = np.maximum.accumulate(g, axis=-1)
     out = np.full(m_row.shape, VF_WORD_MIN, dtype=np.int64)
-    out[..., 1:] = np.clip(c[1:M] + h[..., :-1], VF_WORD_MIN, None)
+    out[..., 1:] = clip_i16(c[1:M] + h[..., :-1])
     return out.astype(np.int32)
 
 
-def _row_update(profile, codes, Mp, Ip, Dp, xB):
+def _row_update(profile: ViterbiWordProfile, codes, Mp, Ip, Dp, xB):
     """One DP row for a batch; returns (Mv, Iv, Dv, xE)."""
     rwv = profile.rwv[codes]  # (n, M)
     shift = lambda a: np.concatenate(  # noqa: E731 - local one-liner
@@ -128,49 +143,104 @@ def viterbi_score_batch(
 ) -> FilterScores:
     """ViterbiFilter scores for a whole database, lockstep across rows.
 
-    Exactly equivalent to per-sequence scoring; inactive and overflowed
-    sequences stop updating their state.  ``guard.saturations`` counts
-    M-row cells pinned at the i16 floor over live lanes - the same tally
-    the warp kernel keeps in ``KernelCounters.saturations``.
+    Exactly equivalent to per-sequence scoring (the fused arithmetic is
+    argued in the module docstring).  Lanes are sorted longest first,
+    so the lanes still live at row ``i`` form a prefix and every row
+    works on views, with no masked copies.  A lane that overflows keeps
+    computing clipped values in its own row, which no other lane reads,
+    and its score is pinned at +inf.  ``guard.saturations`` counts
+    M-row cells pinned at the i16 floor over live, not yet overflowed
+    lanes - the same tally the warp kernel keeps in
+    ``KernelCounters.saturations``.
     """
     if isinstance(batch, SequenceDatabase):
         batch = batch.padded_batch()
-    n = batch.n_seqs
-    M = profile.M
-    Mp = np.full((n, M), VF_WORD_MIN, dtype=np.int32)
+    n, M = batch.n_seqs, profile.M
+    order = np.argsort(-batch.lengths, kind="stable")
+    codes = batch.codes[order]
+    # live[i] = number of lanes longer than i (lengths sorted descending)
+    live = np.searchsorted(
+        -batch.lengths[order], -np.arange(batch.max_len), side="left"
+    )
+
+    # (M+1)-wide double-buffered state rows; column 0 is the permanent
+    # minus-infinity boundary, so "node j-1" is the view [:, :M].  The D
+    # rows' column 1 stays -inf too: no Delete state precedes node 0.
+    Mp = np.full((n, M + 1), VF_WORD_MIN, dtype=np.int32)
     Ip = Mp.copy()
     Dp = Mp.copy()
+    Mn = Mp.copy()
+    In = Mp.copy()
+    Dn = Mp.copy()
+    sv = np.empty((n, M), dtype=np.int32)
+    tmp = np.empty((n, M), dtype=np.int32)
+    # Delete-chain scan constants (see exact_d_chain), once per call, in
+    # the int64 carrier: c[j] = sum of tdd[t] for t < j.  The chain
+    # starts Mv + tmd are not floored first: a start below -32768 only
+    # feeds chains that end below it, and the final clip floors those.
+    c = np.concatenate(([0], np.cumsum(profile.tdd, dtype=np.int64)))
+    tmd_c = profile.tmd - c[1 : M + 1]
+    c_body = c[1:M]
+    g = np.empty((n, M), dtype=np.int64)
+
     xJ = np.full(n, VF_WORD_MIN, dtype=np.int64)
     xC = xJ.copy()
-    xB = np.full(n, profile.init_xB, dtype=np.int64)
+    xB = np.full(n, profile.init_xB, dtype=np.int32)
     overflowed = np.zeros(n, dtype=bool)
 
     for i in range(batch.max_len):
-        active = batch.lengths > i
-        if not active.any():
+        p = int(live[i])
+        if p == 0:
             break
-        codes = np.where(active, batch.codes[:, i], 0).astype(np.intp)
-        Mv, Iv, Dv, xE = _row_update(profile, codes, Mp, Ip, Dp, xB)
-        update = active & ~overflowed
-        if guard is not None:
-            guard.saturations += int(
-                np.count_nonzero(Mv[update] == VF_WORD_MIN)
-            )
-        Mp[update], Ip[update], Dp[update] = Mv[update], Iv[update], Dv[update]
-        overflow_now = update & (xE >= profile.overflow_threshold)
-        overflowed |= overflow_now
-        update &= ~overflow_now
-        xC[update] = np.maximum(xC[update], xE[update] + profile.xE_move)
-        xJ[update] = np.maximum(xJ[update], xE[update] + profile.xE_loop)
-        xB[update] = np.maximum(
-            profile.base + profile.xNJ_move, xJ[update] + profile.xNJ_move
-        )
+        Mv, Iv, Dv = Mn[:p, 1:], In[:p, 1:], Dn[:p, 2:]
+        s, t, h = sv[:p], tmp[:p], g[:p]
+        # Match: the four entry terms maxed unclipped, one clip, then the
+        # emission and one more clip
+        np.add(Mp[:p, :M], profile.enter_mm, out=s)
+        np.add(Ip[:p, :M], profile.enter_im, out=t)
+        np.maximum(s, t, out=s)
+        np.add(Dp[:p, :M], profile.enter_dm, out=t)
+        np.maximum(s, t, out=s)
+        np.maximum(s, (xB[:p] + profile.tbm)[:, None], out=s)
+        clip_i16(s, out=s)
+        np.take(profile.rwv, codes[:p, i], axis=0, out=t)
+        np.add(s, t, out=s)
+        clip_i16(s, out=Mv)
+        # Insert: max of two sums, one clip
+        np.add(Mp[:p, 1:], profile.tmi, out=s)
+        np.add(Ip[:p, 1:], profile.tii, out=t)
+        np.maximum(s, t, out=s)
+        clip_i16(s, out=Iv)
+        # Delete: max-plus prefix scan along the row, one clip
+        np.add(Mv, tmd_c, out=h)
+        np.maximum.accumulate(h, axis=1, out=h)
+        np.add(h[:, :-1], c_body, out=h[:, :-1])
+        clip_i16(h[:, :-1], out=Dv)
 
-    scores = np.where(
+        xE = Mv.max(axis=1)
+        if guard is not None:
+            sat = np.count_nonzero(Mv == VF_WORD_MIN, axis=1)
+            # a lane that overflowed on an earlier row no longer counts
+            guard.saturations += int(sat[~overflowed[:p]].sum())
+        overflowed[:p] |= xE >= profile.overflow_threshold
+        xC[:p] = np.maximum(xC[:p], xE + profile.xE_move)
+        xJ[:p] = np.maximum(xJ[:p], xE + profile.xE_loop)
+        xB[:p] = np.maximum(
+            profile.base + profile.xNJ_move, xJ[:p] + profile.xNJ_move
+        )
+        # double buffering: this row's output is the next row's input
+        Mp, Mn = Mn, Mp
+        Ip, In = In, Ip
+        Dp, Dn = Dn, Dp
+
+    final = np.where(
         xC == VF_WORD_MIN,
         float("-inf"),
         (xC + profile.xNJ_move - profile.base) / profile.scale - 2.0,
     )
-    scores = scores.astype(np.float64)
-    scores[overflowed] = float("inf")
-    return FilterScores(scores=scores, overflowed=overflowed)
+    final[overflowed] = float("inf")
+    scores = np.empty(n, dtype=np.float64)
+    scores[order] = final
+    out_over = np.empty(n, dtype=bool)
+    out_over[order] = overflowed
+    return FilterScores(scores=scores, overflowed=out_over)

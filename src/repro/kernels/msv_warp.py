@@ -28,7 +28,6 @@ import numpy as np
 
 from ..analysis.sanitizer import resolve_sanitizer
 from ..constants import MSV_BYTE_MAX, WARP_SIZE
-from ..errors import KernelError
 from ..gpu.counters import KernelCounters
 from ..gpu.device import KEPLER_K40, DeviceSpec
 from ..scoring.msv_profile import MSVByteProfile

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..gpu.device import FERMI_GTX580, KEPLER_K40
+from ..gpu.device import FERMI_GTX580
 from ..hmm.sampler import PAPER_MODEL_SIZES
 from ..kernels.memconfig import MemoryConfig, Stage
 from .calibration import DEFAULT_COSTS, CostConstants

@@ -225,7 +225,7 @@ class BatchSearchService:
         self,
         hmm: Plan7HMM,
         database: SequenceDatabase,
-        engine: EngineSelection | str = "gpu_warp",
+        engine: EngineSelection | str | None = None,
         priority: int = 0,
         thresholds: PipelineThresholds | None = None,
         settings: PipelineSettings | None = None,
@@ -235,8 +235,9 @@ class BatchSearchService:
         """Enqueue one search request; returns the pending job.
 
         ``options`` overrides the service-wide :class:`SearchOptions`
-        for this job only (the engine still comes from ``engine=`` and
-        the quarantine/tracer stay service-owned).
+        for this job only; the quarantine/tracer stay service-owned.
+        The engine is ``engine=`` when given, else ``options.engine``
+        when per-job options are given, else ``gpu_warp``.
         """
         return self.queue.submit(
             hmm,

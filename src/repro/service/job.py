@@ -152,7 +152,7 @@ class JobQueue:
         self,
         hmm: Plan7HMM,
         database: SequenceDatabase,
-        engine: engines.EngineSelection | str = "gpu_warp",
+        engine: engines.EngineSelection | str | None = None,
         priority: int = 0,
         thresholds: PipelineThresholds | None = None,
         settings: PipelineSettings | None = None,
@@ -171,7 +171,12 @@ class JobQueue:
         admitted *before* the job is minted: a rejected or shed
         submission raises :class:`~repro.errors.OverloadError` and
         leaves the queue (and the serial counter) untouched.
+
+        ``engine=None`` takes the engine of the per-job ``options`` when
+        there are any, else ``gpu_warp``; an explicit ``engine`` wins.
         """
+        if engine is None:
+            engine = options.engine if options is not None else "gpu_warp"
         engine = engines.resolve(engine)
         estimate = None
         if self.admission is not None:

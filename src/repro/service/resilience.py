@@ -52,7 +52,7 @@ from ..gpu.multi_gpu import score_chunk
 from ..obs.profiling import kernel_tags, record_kernel_counters
 from ..obs.span import span
 from ..sequence.database import SequenceDatabase
-from .devices import DeviceHealth, DevicePool, DeviceSlot
+from .devices import DeviceHealth, DevicePool
 from .faults import FaultKind, FaultPlan, ResilienceEvent
 from .watchdog import Deadline, ShardWatchdog
 

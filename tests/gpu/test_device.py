@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import LaunchError
-from repro.gpu import FERMI_GTX580, KEPLER_K40, DeviceSpec
+from repro.gpu import FERMI_GTX580, KEPLER_K40
 
 
 class TestPresets:

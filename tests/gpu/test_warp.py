@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import KernelError
 from repro.gpu import (
-    WARP_SIZE,
     lane_ids,
     shfl_down,
     shfl_up,

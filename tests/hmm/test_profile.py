@@ -7,7 +7,7 @@ import pytest
 
 from repro.alphabet import AMINO
 from repro.errors import ProfileError
-from repro.hmm import NullModel, Plan7HMM, SearchProfile, sample_hmm
+from repro.hmm import NullModel, SearchProfile, sample_hmm
 
 
 @pytest.fixture

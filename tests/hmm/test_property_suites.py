@@ -2,7 +2,6 @@
 round-trips and scores consistently."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

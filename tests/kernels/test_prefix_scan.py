@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import VF_WORD_MIN
-from repro.cpu import exact_d_chain, viterbi_score_batch
+from repro.cpu import exact_d_chain
 from repro.errors import KernelError
 from repro.gpu import KernelCounters
 from repro.kernels import parallel_lazy_f

@@ -8,7 +8,6 @@ from repro.errors import CalibrationError
 from repro.gpu import FERMI_GTX580, KEPLER_K40
 from repro.kernels import MemoryConfig, Stage
 from repro.perf import (
-    DEFAULT_COSTS,
     StageWork,
     best_gpu_stage_time,
     cpu_forward_time,

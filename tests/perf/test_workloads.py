@@ -1,6 +1,5 @@
 """The workload machinery behind the figure benchmarks."""
 
-import numpy as np
 import pytest
 
 from repro.perf.workloads import (

@@ -142,6 +142,28 @@ class TestScheduling:
         assert sum(s.residues for s in service.pool.slots) >= db.total_residues
         assert all(s.dispatches >= 1 for s in service.pool.slots)
 
+    def test_per_job_options_choose_the_engine(self, workload):
+        """Without ``engine=``, per-job options pick the engine; an
+        explicit ``engine=`` still wins, and no options means gpu_warp."""
+        hmm, db = workload
+        service = BatchSearchService(pool=DevicePool.homogeneous(count=1))
+        cpu = SearchOptions(engine="cpu")
+        by_options = service.submit(hmm, db, settings=SETTINGS, options=cpu)
+        explicit = service.submit(
+            hmm, db, engine="gpu_warp", settings=SETTINGS, options=cpu
+        )
+        default = service.submit(hmm, db, settings=SETTINGS)
+        assert by_options.engine is resolve("cpu_sse")
+        assert explicit.engine is resolve("gpu_warp")
+        assert default.engine is resolve("gpu_warp")
+        service.run()
+        ran = {r.job_id: r.effective_engine for r in service.metrics.records}
+        assert ran == {
+            by_options.job_id: "cpu_sse",
+            explicit.job_id: "gpu_warp",
+            default.job_id: "gpu_warp",
+        }
+
     def test_job_timestamps_populated(self, workload):
         hmm, db = workload
         service = BatchSearchService(pool=DevicePool.homogeneous(count=1))

@@ -76,8 +76,11 @@ def _run(workload, plan, n_jobs=3, limits=None, options=None):
         fault_plan=plan,
         limits=limits,
     )
+    # device-pool jobs: per-job options would otherwise pick the engine
     jobs = [
-        service.submit(hmm, db, settings=SETTINGS, options=options)
+        service.submit(
+            hmm, db, engine="gpu_warp", settings=SETTINGS, options=options
+        )
         for _ in range(n_jobs)
     ]
     service.run()

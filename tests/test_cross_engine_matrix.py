@@ -15,8 +15,6 @@ This single test file is the library's strongest statement of the
 paper's accuracy-preservation claim.
 """
 
-import functools
-
 import numpy as np
 import pytest
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import FormatError, QuarantineError, ReproError
+from repro.errors import ReproError
 from repro.hardening import SALVAGE, RecordQuarantine
 from repro.hmm.hmmfile import dumps_hmm, loads_hmm
 from repro.hmm.sampler import sample_hmm

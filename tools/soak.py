@@ -86,7 +86,9 @@ def run_search_wave(seed: int, n_jobs: int) -> dict:
             else None
         )
         try:
-            job = service.submit(hmm, db, priority=priority, options=opts)
+            job = service.submit(
+                hmm, db, engine="gpu_warp", priority=priority, options=opts
+            )
         except OverloadError:
             refused += 1
             continue
