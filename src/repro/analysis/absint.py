@@ -14,15 +14,12 @@ the abstract interval the interpreter derived for it and a status:
     (``sat_add_u8`` / ``sat_add_i16`` / ``clip_i16`` / ``floor_i16`` /
     ``np.clip`` with constant saturation bounds), whose summaries clamp
     the interval by construction;
-``by_repair``
-    the native-u8 wraparound-repair idiom of the batched MSV kernel
-    (compare against the exact wrap threshold *before* the wrapping
-    add/sub, overwrite the wrapped cells right after) was recognized
-    and its threshold algebra checked symbolically;
 ``unproven``
     none of the above - the interval can escape the dtype range.
 
-The abstract domain is non-relational: an :class:`AbsVal` is a numeric
+The abstract domain is non-relational, except for one order fact per
+array that an in-place ``np.minimum`` / ``np.maximum`` leaves behind
+(the u8 clamp-before-add identities): an :class:`AbsVal` is a numeric
 interval ``[lo, hi]`` (bounds may be infinite) plus a *native* narrow
 dtype tag (the array really is uint8/int16 in memory - wrap risk), a
 *system* tag (a wide int32/int64 carrier that semantically holds u8 or
@@ -37,7 +34,8 @@ transition/special log-prob scores additionally non-positive), so
 Documented assumptions (see docs/static_analysis.md):
 
 * ``np.empty`` carriers are written before they are read (they are
-  tagged with the empty interval);
+  tagged with the empty interval); wide ``np.empty`` scratch is not a
+  system carrier until written;
 * cross-module helper summaries (``parallel_lazy_f`` mutating its
   first argument into i16 range, ``stripe_array``/``shfl_up`` hulling
   their fill value) match the helpers' own verified behaviour;
@@ -87,6 +85,7 @@ PROVE_TARGETS: Tuple[str, ...] = (
     "src/repro/cpu/striped.py",
     "src/repro/cpu/msv_striped.py",
     "src/repro/cpu/viterbi_striped.py",
+    "src/repro/cpu/msv_reference.py",
     "src/repro/cpu/viterbi_reference.py",
     "src/repro/scoring/msv_profile.py",
     "src/repro/scoring/vit_profile.py",
@@ -109,6 +108,7 @@ _MODULE_SYSTEMS: Dict[str, Optional[str]] = {
     "src/repro/cpu/striped.py": None,
     "src/repro/cpu/msv_striped.py": "u8",
     "src/repro/cpu/viterbi_striped.py": "i16",
+    "src/repro/cpu/msv_reference.py": "u8",
     "src/repro/cpu/viterbi_reference.py": "i16",
     "src/repro/scoring/msv_profile.py": "u8",
     "src/repro/scoring/vit_profile.py": "i16",
@@ -348,12 +348,12 @@ class Site:
 
     line: int
     function: str
-    kind: str  # arith | store | cast | helper | clip | repair
+    kind: str  # arith | store | cast | helper | clip
     detail: str
     system: Optional[str]
     lo: float
     hi: float
-    status: str  # proven | by_helper | by_repair | unproven
+    status: str  # proven | by_helper | unproven
 
     def to_doc(self) -> Dict[str, object]:
         def bound(x: float) -> object:
@@ -434,7 +434,7 @@ def _short(node: ast.AST) -> str:
 
 
 # ---------------------------------------------------------------------------
-# symbolic origins (for the wraparound-repair threshold algebra)
+# symbolic origins (for the clamp-before-add order facts)
 # ---------------------------------------------------------------------------
 
 Origin = Tuple[object, ...]
@@ -462,10 +462,6 @@ def _origin(node: ast.AST, env: Dict[str, Origin]) -> Optional[Origin]:
             op = "add" if isinstance(node.op, ast.Add) else "sub"
             return (op, left, right)
     return None
-
-
-def _origin_eq(a: Optional[Origin], b: Optional[Origin]) -> bool:
-    return a is not None and b is not None and a == b
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +547,11 @@ class _Interp:
         self._suppress = 0 if record else 1
         self.local_funcs: Dict[str, ast.FunctionDef] = {}
         self.local_lambdas: Dict[str, ast.Lambda] = {}
-        # name -> the Compare node it was last assigned from; feeds the
-        # wraparound-repair matcher.  Invalidated when a compared
-        # variable is rewritten.
-        self._mask_compares: Dict[str, ast.Compare] = {}
+        # name -> ("le" | "ge", bound origin, names the bound reads): the
+        # elementwise order an in-place np.minimum / np.maximum left
+        # between the array and its bound; feeds the clamp-before-add
+        # identities.  Killed when either side is written.
+        self._facts: Dict[str, Tuple[str, Origin, frozenset]] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -581,20 +578,89 @@ class _Interp:
             return BOOL
         return TOP
 
+    def _kill_facts(self, name: str) -> None:
+        """Forget every order fact whose array or bound shares *name*'s
+        root array."""
+        root = self._root(name)
+        for subj, (_, _, reads) in list(self._facts.items()):
+            if self._root(subj) == root or any(self._root(r) == root for r in reads):
+                del self._facts[subj]
+
+    def _bound_origin(self, node: ast.expr) -> Optional[Origin]:
+        """Symbolic identity of an order bound or operand; an expression
+        that calls anything has none (two calls may differ)."""
+        origin = _origin(node, self.origins)
+        if origin is not None:
+            return origin
+        if any(isinstance(sub, ast.Call) for sub in ast.walk(node)):
+            return None
+        return ("expr", ast.dump(node))
+
+    def _refine(self, op: ast.operator, lnode: ast.expr, rnode: ast.expr,
+                out: AbsVal) -> AbsVal:
+        """Tighten ``lnode op rnode`` with the order fact on ``lnode``.
+
+        The u8 clamp-before-add identities: after ``a = min(a, K - b)``,
+        ``a + b <= K``; after ``a = max(a, r)``, ``a - r >= 0``.
+        """
+        fact = self._facts.get(lnode.id) if isinstance(lnode, ast.Name) else None
+        if fact is None or out.is_bottom:
+            return out
+        kind, bound, _ = fact
+        other = self._bound_origin(rnode)
+        if other is None:
+            return out
+        if (
+            isinstance(op, ast.Add)
+            and kind == "le"
+            and bound[0] == "sub"
+            and bound[1][0] == "const"  # type: ignore[index]
+            and bound[2] == other
+        ):
+            return mk(out.lo, min(out.hi, float(bound[1][1])))  # type: ignore[index]
+        if isinstance(op, ast.Sub) and kind == "ge" and bound == other:
+            return mk(max(out.lo, 0.0), out.hi)
+        return out
+
+    def _write_out(self, target: ast.expr, val: AbsVal, call: ast.Call) -> None:
+        """``out=target`` of a ufunc or helper: a store into that array.
+
+        A subscript, a view of another array, or a u8/i16 array is a
+        store obligation on the root array; a plain wide name is
+        rebound.
+        """
+        if isinstance(target, ast.Subscript):
+            self.store_subscript(target, val, call)
+            return
+        if not isinstance(target, ast.Name):
+            return
+        name = target.id
+        root = self._root(name)
+        arr = self.env.get(root, TOP)
+        if root == name and arr.native is None and arr.tagged is None:
+            self._assign_name(name, val, call)
+            return
+        self._kill_facts(name)
+        system = arr.native or arr.tagged
+        if system in ("u8", "i16"):
+            status = "proven" if val.in_range(system) else "unproven"
+            self._site(call.lineno, "store", f"out={name}", val, status)
+            if status == "unproven":
+                val = mk(*DTYPE_RANGES[system])
+        tags = {"native": arr.native, "tagged": arr.tagged}
+        self.env[name] = replace(val, **tags)  # type: ignore[arg-type]
+        if root != name:
+            self.env[root] = replace(join(arr, val), **tags)  # type: ignore[arg-type]
+        self.origins.pop(name, None)
+
     # -- statements ---------------------------------------------------------
 
     def run(self) -> None:
         self.exec_block(self.fn.body)
 
     def exec_block(self, stmts: Sequence[ast.stmt]) -> None:
-        i = 0
-        while i < len(stmts):
-            stmt = stmts[i]
-            if isinstance(stmt, ast.AugAssign) and self._try_repair(stmts, i):
-                i += 2  # the AugAssign and its repair store, handled atomically
-                continue
+        for stmt in stmts:
             self.exec_stmt(stmt)
-            i += 1
 
     def exec_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
@@ -668,6 +734,7 @@ class _Interp:
         # attribute stores (counters.x = ...) carry no proof obligations
 
     def _assign_name(self, name: str, val: AbsVal, vnode: ast.expr) -> None:
+        self._kill_facts(name)
         self.alias.pop(name, None)
         # a plain slice of another array is a view: stores through it
         # must reach the root variable
@@ -682,21 +749,6 @@ class _Interp:
             self.origins[name] = origin
         else:
             self.origins.pop(name, None)
-        if isinstance(vnode, ast.Compare):
-            self._mask_compares[name] = vnode
-        else:
-            self._mask_compares.pop(name, None)
-        stale = [
-            m
-            for m, cmp_node in self._mask_compares.items()
-            if m != name
-            and any(
-                isinstance(sub, ast.Name) and sub.id == name
-                for sub in ast.walk(cmp_node)
-            )
-        ]
-        for m in stale:
-            del self._mask_compares[m]
 
     def store_subscript(self, tgt: ast.Subscript, val: AbsVal, vnode: ast.expr) -> None:
         base = tgt.value
@@ -704,6 +756,7 @@ class _Interp:
         if base_name is None or "." in base_name:
             return  # attribute-rooted stores carry no tracked array
         root = self._root(base_name)
+        self._kill_facts(root)
         arr = self.env.get(root, TOP)
         system = arr.native or arr.tagged
         if system in ("u8", "i16"):
@@ -724,6 +777,7 @@ class _Interp:
         name = stmt.target.id
         cur = self.env.get(name, TOP)
         rhs = self.eval(stmt.value)
+        self._kill_facts(name)
         if isinstance(stmt.op, ast.Add):
             out = _add(cur, rhs)
         elif isinstance(stmt.op, ast.Sub):
@@ -734,7 +788,7 @@ class _Interp:
             out = TOP
         out = replace(out, native=cur.native, tagged=cur.tagged)
         if cur.native in ("u8", "i16") and isinstance(stmt.op, (ast.Add, ast.Sub, ast.Mult)):
-            # un-repaired in-place arithmetic on a real narrow array
+            # in-place arithmetic on a real narrow array
             status = "proven" if out.in_range(cur.native) else "unproven"
             self._site(stmt.lineno, "arith", _short(stmt), out, status)
             if status == "unproven":
@@ -748,12 +802,7 @@ class _Interp:
         self.origins.pop(name, None)
 
     def exec_expr_stmt(self, stmt: ast.Expr) -> None:
-        val = self.eval(stmt.value)
-        node = stmt.value
-        if isinstance(node, ast.Call):
-            for kw in node.keywords:
-                if kw.arg == "out" and isinstance(kw.value, ast.Name):
-                    self._assign_name(kw.value.id, val, node)
+        self.eval(stmt.value)
 
     # -- branches and loops --------------------------------------------------
 
@@ -763,14 +812,17 @@ class _Interp:
         before_env = dict(self.env)
         before_alias = dict(self.alias)
         before_origins = dict(self.origins)
+        before_facts = dict(self._facts)
         if refined is not None:
             name, classes = refined
             self.env[name] = AbsVal(kind="obj", obj_types=classes)
         self.exec_block(stmt.body)
         then_env, then_alias, then_origins = self.env, self.alias, self.origins
+        then_facts = self._facts
         self.env = before_env
         self.alias = before_alias
         self.origins = dict(before_origins)
+        self._facts = before_facts
         if refined is not None:
             name, classes = refined
             cur = before_env.get(name, TOP)
@@ -785,6 +837,9 @@ class _Interp:
         self.alias = {k: v for k, v in then_alias.items() if self.alias.get(k) == v}
         self.origins = {
             k: v for k, v in then_origins.items() if self.origins.get(k) == v
+        }
+        self._facts = {
+            k: v for k, v in then_facts.items() if self._facts.get(k) == v
         }
 
     def _isinstance_refinement(
@@ -816,6 +871,7 @@ class _Interp:
         try:
             for iteration in range(_MAX_LOOP_ITER):
                 snapshot = dict(self.env)
+                self._facts.clear()  # nothing is known on the back edge
                 self.exec_block(stmt.body)
                 changed = False
                 for key in set(snapshot) | set(self.env):
@@ -839,7 +895,9 @@ class _Interp:
         finally:
             self._suppress -= 1
         # one recording pass over the stable environment
+        self._facts.clear()
         self.exec_block(stmt.body)
+        self._facts.clear()
         post = dict(self.env)
         for key in post:
             self.env[key] = join(post[key], self.env.get(key, BOTTOM))
@@ -853,111 +911,6 @@ class _Interp:
         elif isinstance(target, ast.Tuple):
             for el in target.elts:
                 self._bind_loop_target(el, TOP)
-
-    # -- wraparound-repair recognition ---------------------------------------
-
-    def _try_repair(self, stmts: Sequence[ast.stmt], i: int) -> bool:
-        aug = stmts[i]
-        assert isinstance(aug, ast.AugAssign)
-        if not isinstance(aug.target, ast.Name):
-            return False
-        name = aug.target.id
-        cur = self.env.get(name, TOP)
-        if cur.native not in ("u8", "i16"):
-            return False
-        rhs = self.eval_quiet(aug.value)
-        exact = _add(cur, rhs) if isinstance(aug.op, ast.Add) else _sub(cur, rhs)
-        if exact.in_range(cur.native):
-            return False  # no wrap possible; normal AugAssign handling
-        if i + 1 >= len(stmts):
-            return False
-        repair = stmts[i + 1]
-        matched = False
-        if isinstance(aug.op, ast.Add):
-            matched = self._match_repair_add(aug, repair, name)
-        elif isinstance(aug.op, ast.Sub):
-            matched = self._match_repair_sub(aug, repair, name)
-        if not matched:
-            return False
-        rlo, rhi = DTYPE_RANGES[cur.native]
-        out = mk(rlo, rhi, native=cur.native)
-        self._site(aug.lineno, "repair", _short(aug), out, "by_repair")
-        self.env[name] = out
-        root = self._root(name)
-        if root != name:
-            base = self.env.get(root, TOP)
-            self.env[root] = replace(join(base, out), native=base.native, tagged=base.tagged)
-        return True
-
-    def _repair_store(self, stmt: ast.stmt, name: str) -> Optional[Tuple[str, float]]:
-        """``name[mask] = value`` -> (mask, value) if it has that shape."""
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-            return None
-        tgt = stmt.targets[0]
-        if not (
-            isinstance(tgt, ast.Subscript)
-            and isinstance(tgt.value, ast.Name)
-            and tgt.value.id == name
-            and isinstance(tgt.slice, ast.Name)
-        ):
-            return None
-        origin = _origin(stmt.value, self.origins)
-        if origin is None or origin[0] != "const":
-            return None
-        return tgt.slice.id, float(origin[1])  # type: ignore[arg-type]
-
-    def _match_repair_add(self, aug: ast.AugAssign, repair: ast.stmt, name: str) -> bool:
-        cur = self.env.get(name, TOP)
-        assert cur.native is not None
-        cap = DTYPE_RANGES[cur.native][1]
-        stored = self._repair_store(repair, name)
-        if stored is None or stored[1] != cap:
-            return False
-        mask = stored[0]
-        cmp_node = self._mask_compares.get(mask)
-        if cmp_node is None:
-            return False
-        # mask must be  name >= threshold  with threshold == cap - addend
-        if not (
-            isinstance(cmp_node.left, ast.Name)
-            and cmp_node.left.id == name
-            and len(cmp_node.ops) == 1
-            and isinstance(cmp_node.ops[0], ast.GtE)
-            and len(cmp_node.comparators) == 1
-        ):
-            return False
-        thr = _origin(cmp_node.comparators[0], self.origins)
-        addend = _origin(aug.value, self.origins)
-        if thr is None or addend is None:
-            return False
-        if thr[0] == "const" and addend[0] == "const":
-            return float(thr[1]) == cap - float(addend[1])  # type: ignore[arg-type]
-        return _origin_eq(thr, ("sub", ("const", int(cap)), addend))
-
-    def _match_repair_sub(self, aug: ast.AugAssign, repair: ast.stmt, name: str) -> bool:
-        cur = self.env.get(name, TOP)
-        assert cur.native is not None
-        floor = DTYPE_RANGES[cur.native][0]
-        stored = self._repair_store(repair, name)
-        if stored is None or stored[1] != floor:
-            return False
-        mask = stored[0]
-        cmp_node = self._mask_compares.get(mask)
-        if cmp_node is None:
-            return False
-        # mask must be  subtrahend > name  for the same subtrahend
-        if not (
-            isinstance(aug.value, ast.Name)
-            and isinstance(cmp_node.left, ast.Name)
-            and cmp_node.left.id == aug.value.id
-            and len(cmp_node.ops) == 1
-            and isinstance(cmp_node.ops[0], ast.Gt)
-            and len(cmp_node.comparators) == 1
-            and isinstance(cmp_node.comparators[0], ast.Name)
-            and cmp_node.comparators[0].id == name
-        ):
-            return False
-        return True
 
     def eval_quiet(self, node: ast.expr) -> AbsVal:
         self._suppress += 1
@@ -1040,9 +993,15 @@ class _Interp:
         return TOP
 
     def eval_binop(self, node: ast.BinOp) -> AbsVal:
-        left = self.eval(node.left)
-        right = self.eval(node.right)
-        op = node.op
+        return self._arith(node, node.op, node.left, node.right)
+
+    def _arith(self, node: ast.expr, op: ast.operator, lnode: ast.expr,
+               rnode: ast.expr) -> AbsVal:
+        """``lnode op rnode`` as a binary operator or ``np.add`` /
+        ``np.subtract``; arithmetic on a native u8/i16 operand is an
+        obligation site."""
+        left = self.eval(lnode)
+        right = self.eval(rnode)
         if isinstance(op, ast.Add):
             out = _add(left, right)
         elif isinstance(op, ast.Sub):
@@ -1077,6 +1036,7 @@ class _Interp:
             if left.kind == "bool" and right.kind == "bool":
                 return BOOL
             return TOP
+        out = self._refine(op, lnode, rnode, out)
         # arithmetic on a *native* narrow array wraps silently: obligation
         native = None
         if left.native in ("u8", "i16") or right.native in ("u8", "i16"):
@@ -1114,6 +1074,30 @@ class _Interp:
     # -- calls ---------------------------------------------------------------
 
     def eval_call(self, node: ast.Call) -> AbsVal:
+        """A call's value; its ``out=`` target receives the value as a
+        store, and an ``np.minimum`` / ``np.maximum`` into a name leaves
+        the order fact ``out <= bound`` / ``out >= bound``."""
+        val = self._eval_call(node)
+        target = next((kw.value for kw in node.keywords if kw.arg == "out"), None)
+        if target is not None:
+            self._write_out(target, val, node)
+            tail = (dotted_name(node.func) or "").split(".")[-1]
+            bound = node.args[1] if len(node.args) >= 2 else None
+            origin = None if bound is None else self._bound_origin(bound)
+            if (
+                tail in ("minimum", "maximum")
+                and isinstance(target, ast.Name)
+                and origin is not None
+            ):
+                reads = frozenset(
+                    n.id for n in ast.walk(bound) if isinstance(n, ast.Name)
+                )
+                self._facts[target.id] = (
+                    "le" if tail == "minimum" else "ge", origin, reads,
+                )
+        return val
+
+    def _eval_call(self, node: ast.Call) -> AbsVal:
         name = dotted_name(node.func) or ""
         tail = name.split(".")[-1]
         args = node.args
@@ -1269,9 +1253,6 @@ class _Interp:
             if status == "unproven":
                 out = mk(-32768.0, DTYPE_RANGES["i32"][1])
         self._site(node.lineno, "helper", _short(node), out, "by_helper")
-        for kw in node.keywords:
-            if kw.arg == "out" and isinstance(kw.value, ast.Name):
-                self._assign_name(kw.value.id, out, node)
         return out
 
     def _numpy_call(
@@ -1310,7 +1291,8 @@ class _Interp:
                 native is None
                 and dtype in ("i32", "i64")
                 and self.system is not None
-                and (fill.is_bottom or fill.in_range(self.system))
+                and not fill.is_bottom  # uninitialised scratch holds no scores
+                and fill.in_range(self.system)
             ):
                 tagged = self.system
             if fill.kind == "float" and dtype is None:
@@ -1348,18 +1330,20 @@ class _Interp:
                     self._site(node.lineno, "clip", _short(node), out, "proven")
             else:
                 out = join(val, join(lo_v, hi_v))
-            for kw in node.keywords:
-                if kw.arg == "out" and isinstance(kw.value, ast.Name):
-                    self._assign_name(kw.value.id, out, node)
             return out
 
         if tail in ("maximum", "minimum"):
             a, b = arg_val(0), arg_val(1)
-            out = _max_iv(a, b) if tail == "maximum" else _min_iv(a, b)
-            for kw in node.keywords:
-                if kw.arg == "out" and isinstance(kw.value, ast.Name):
-                    self._assign_name(kw.value.id, out, node)
-            return out
+            return _max_iv(a, b) if tail == "maximum" else _min_iv(a, b)
+
+        if tail in ("add", "subtract") and len(node.args) >= 2:
+            op = ast.Add() if tail == "add" else ast.Sub()
+            return self._arith(node, op, node.args[0], node.args[1])
+
+        if tail == "take":
+            for a in node.args[1:]:
+                self.eval(a)
+            return replace(arg_val(0), native=None, tagged=None)
 
         if tail == "accumulate":
             # np.maximum.accumulate / np.minimum.accumulate: same hull

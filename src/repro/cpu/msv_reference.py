@@ -13,7 +13,20 @@ bit-for-bit.  The recurrence per target residue ``x_i`` is::
 
 with byte 0 acting as minus infinity.  ``msv_score_batch`` is the
 vectorized form the pipeline uses: it processes every sequence in lockstep
-rows and is exactly equivalent to per-sequence scoring.
+rows (:func:`msv_lockstep`, which the batched kernel runs too) and is
+exactly equivalent to per-sequence scoring.
+
+The lockstep rows stay native u8 and saturate by clamping *before* the
+add, so no step can wrap::
+
+    sat_add(a, bias) = min(a, 255 - bias) + bias
+    sat_sub(a, r)    = max(a, r) - r
+
+Both hold for every ``a``, ``r``, ``bias`` in [0, 255].  If
+``a <= 255 - bias`` the min is ``a`` and ``a + bias <= 255``; otherwise
+``a + bias`` saturates and ``(255 - bias) + bias = 255``.  If ``a >= r``
+the max is ``a`` and ``a - r >= 0``; otherwise the saturating difference
+is 0 and ``r - r = 0``.
 """
 
 from __future__ import annotations
@@ -26,9 +39,9 @@ from ..scoring.guardrails import GuardrailCounters
 from ..scoring.msv_profile import MSVByteProfile
 from ..scoring.quantized import sat_add_u8, sat_sub_u8
 from ..sequence.database import PaddedBatch, SequenceDatabase
-from .results import FilterScores
+from .results import FilterScores, lane_blocks, live_counts, retire
 
-__all__ = ["msv_score_sequence", "msv_score_batch"]
+__all__ = ["msv_score_sequence", "msv_score_batch", "msv_lockstep"]
 
 
 def msv_score_sequence(
@@ -73,52 +86,79 @@ def msv_score_batch(
     """MSV scores for a whole database, lockstep-vectorized across rows.
 
     Semantics are identical to calling :func:`msv_score_sequence` on every
-    sequence: rows beyond a sequence's length leave its state untouched,
-    and overflow is latched per sequence at the row where it occurs.
-    ``guard.saturations`` counts DP cells at the u8 ceiling after the
-    biased emission add, over lanes still live - the same tally the warp
-    kernel keeps in ``KernelCounters.saturations``.
+    sequence (see :func:`msv_lockstep`).
+    """
+    return msv_lockstep(profile, batch, guard)[0]
+
+
+def msv_lockstep(
+    profile: MSVByteProfile,
+    batch: PaddedBatch | SequenceDatabase,
+    guard: GuardrailCounters | None = None,
+) -> tuple[FilterScores, np.ndarray]:
+    """The lockstep MSV pass; returns the scores and each lane's rows-run.
+
+    Lanes run longest first in blocks (:func:`~repro.cpu.results
+    .lane_blocks`), so the lanes still live at row ``i`` form a prefix
+    and every row works on views.  A lane whose row maximum reaches the
+    overflow threshold is latched at +inf and retired from the prefix,
+    so ``rows_run[s]`` is sequence ``s``'s length, or the rows up to and
+    including its overflow row.  ``guard.saturations`` counts DP cells
+    at the u8 ceiling after the biased emission add over the live
+    prefix - the tally the batched kernel reports as
+    ``KernelCounters.saturations``.
     """
     if isinstance(batch, SequenceDatabase):
         batch = batch.padded_batch()
-    n, width = batch.n_seqs, batch.max_len
-    M = profile.M
-    rows = np.zeros((n, M + 1), dtype=np.int32)
-    xJ = np.zeros(n, dtype=np.int32)
-    xB = np.full(n, profile.init_xB, dtype=np.int32)
+    n, M = batch.n_seqs, profile.M
+    xJ_out = np.zeros(n, dtype=np.int32)  # zero-length lanes keep xJ = 0
     overflowed = np.zeros(n, dtype=bool)
+    rows_run = batch.lengths.copy()  # overflowed lanes: cut below
 
-    for i in range(width):
-        active = batch.lengths > i
-        if not active.any():
-            break
-        codes = batch.codes[:, i].astype(np.intp)
-        # padded slots carry code 31 which indexes nothing; map them to 0,
-        # the 'active' mask discards their results anyway
-        codes = np.where(active, codes, 0)
-        rbv = profile.rbv[codes]  # (n, M)
-        xBv = np.maximum(0, xB - profile.tbm)[:, None]
-        live = active & ~overflowed
-        sv = np.maximum(rows[:, :M], xBv)
-        sv = sat_add_u8(sv, profile.bias)
-        if guard is not None:
-            guard.saturations += int(
-                np.count_nonzero(sv[live] == MSV_BYTE_MAX)
-            )
-        sv = sat_sub_u8(sv, rbv)
-        xE = sv.max(axis=1)
-        update = live.copy()  # `&=` below must not alias the guard mask
-        rows[update, 1:] = sv[update]
-        overflow_now = update & (xE >= profile.overflow_threshold)
-        overflowed |= overflow_now
-        update &= ~overflow_now
-        xJ[update] = np.maximum(
-            xJ[update], np.maximum(0, xE[update] - profile.tec)
-        )
-        xB[update] = np.maximum(
-            0, np.maximum(profile.base, xJ[update]) - profile.tjb
-        )
+    rbv = profile.rbv.astype(np.uint8)  # biased costs all fit u8
+    bias = profile.bias
+    cap = MSV_BYTE_MAX - bias  # sat_add(a, bias) = min(a, cap) + bias
+    threshold = profile.overflow_threshold
+    # xB - tbm with both saturating subtractions folded (tbm >= 0)
+    jb = profile.tjb + profile.tbm
 
-    scores = np.array([profile.final_score_nats(int(v)) for v in xJ])
+    for ids, lens in lane_blocks(batch):
+        k, width = ids.size, int(lens[0])
+        live = live_counts(lens, width)
+        # double-buffered u8 state rows; column 0 is the permanent byte-0
+        # minus infinity, so "node j-1" is the view [:, :M]
+        Rp = np.zeros((k, M + 1), dtype=np.uint8)
+        Rn = np.zeros((k, M + 1), dtype=np.uint8)
+        rb_buf = np.empty((k, M), dtype=np.uint8)
+        xJ = np.zeros(k, dtype=np.int32)
+        xBv = np.full(k, max(0, profile.init_xB - profile.tbm), dtype=np.uint8)
+
+        for i in range(width):
+            p = int(live[i])
+            if p == 0:
+                break
+            sv, rb = Rn[:p, 1:], rb_buf[:p]
+            np.take(rbv, batch.codes[ids[:p], i], axis=0, out=rb)
+            np.maximum(Rp[:p, :M], xBv[:p, None], out=sv)
+            np.minimum(sv, cap, out=sv)
+            np.add(sv, bias, out=sv)
+            if guard is not None:
+                guard.saturations += int(np.count_nonzero(sv == MSV_BYTE_MAX))
+            np.maximum(sv, rb, out=sv)  # sat_sub(a, r) = max(a, r) - r
+            np.subtract(sv, rb, out=sv)
+            xE = sv.max(axis=1)
+            # xJ >= 0 already, so max(xJ, max(0, xE - tec)) needs one max
+            np.maximum(xJ[:p], xE.astype(np.int32) - profile.tec, out=xJ[:p])
+            xBv[:p] = np.maximum(np.maximum(xJ[:p], profile.base) - jb, 0)
+            Rp, Rn = Rn, Rp
+            if int(xE.max()) >= threshold:
+                keep = retire(xE >= threshold, p, i, ids, overflowed,
+                              rows_run, (Rp,))
+                ids, lens, xJ, xBv = ids[keep], lens[keep], xJ[keep], xBv[keep]
+                live = live_counts(lens, width)
+
+        xJ_out[ids] = xJ
+
+    scores = profile.final_score_nats(xJ_out)
     scores[overflowed] = float("inf")
-    return FilterScores(scores=scores, overflowed=overflowed)
+    return FilterScores(scores=scores, overflowed=overflowed), rows_run

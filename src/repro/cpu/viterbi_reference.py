@@ -47,9 +47,14 @@ from ..scoring.guardrails import GuardrailCounters
 from ..scoring.quantized import clip_i16, sat_add_i16
 from ..scoring.vit_profile import ViterbiWordProfile
 from ..sequence.database import PaddedBatch, SequenceDatabase
-from .results import FilterScores
+from .results import FilterScores, lane_blocks, live_counts, retire
 
-__all__ = ["viterbi_score_sequence", "viterbi_score_batch", "exact_d_chain"]
+__all__ = [
+    "viterbi_score_sequence",
+    "viterbi_score_batch",
+    "viterbi_lockstep",
+    "exact_d_chain",
+]
 
 
 def exact_d_chain(m_row: np.ndarray, tmd: np.ndarray, tdd: np.ndarray) -> np.ndarray:
@@ -144,36 +149,36 @@ def viterbi_score_batch(
     """ViterbiFilter scores for a whole database, lockstep across rows.
 
     Exactly equivalent to per-sequence scoring (the fused arithmetic is
-    argued in the module docstring).  Lanes are sorted longest first,
-    so the lanes still live at row ``i`` form a prefix and every row
-    works on views, with no masked copies.  A lane that overflows keeps
-    computing clipped values in its own row, which no other lane reads,
-    and its score is pinned at +inf.  ``guard.saturations`` counts
-    M-row cells pinned at the i16 floor over live, not yet overflowed
-    lanes - the same tally the warp kernel keeps in
+    argued in the module docstring; the pass is :func:`viterbi_lockstep`).
+    """
+    return viterbi_lockstep(profile, batch, guard)[0]
+
+
+def viterbi_lockstep(
+    profile: ViterbiWordProfile,
+    batch: PaddedBatch | SequenceDatabase,
+    guard: GuardrailCounters | None = None,
+) -> tuple[FilterScores, np.ndarray]:
+    """The lockstep ViterbiFilter pass; returns scores and rows-run.
+
+    Lanes run longest first in blocks (:func:`~repro.cpu.results
+    .lane_blocks`), so the lanes still live at row ``i`` form a prefix
+    and every row works on views, with no masked copies.  A lane whose
+    row maximum reaches the overflow threshold is latched at +inf and
+    retired from the prefix, so ``rows_run[s]`` is sequence ``s``'s
+    length, or the rows up to and including its overflow row.
+    ``guard.saturations`` counts M-row cells pinned at the i16 floor
+    over the live prefix - the tally the batched kernel reports as
     ``KernelCounters.saturations``.
     """
     if isinstance(batch, SequenceDatabase):
         batch = batch.padded_batch()
     n, M = batch.n_seqs, profile.M
-    order = np.argsort(-batch.lengths, kind="stable")
-    codes = batch.codes[order]
-    # live[i] = number of lanes longer than i (lengths sorted descending)
-    live = np.searchsorted(
-        -batch.lengths[order], -np.arange(batch.max_len), side="left"
-    )
-
-    # (M+1)-wide double-buffered state rows; column 0 is the permanent
-    # minus-infinity boundary, so "node j-1" is the view [:, :M].  The D
-    # rows' column 1 stays -inf too: no Delete state precedes node 0.
-    Mp = np.full((n, M + 1), VF_WORD_MIN, dtype=np.int32)
-    Ip = Mp.copy()
-    Dp = Mp.copy()
-    Mn = Mp.copy()
-    In = Mp.copy()
-    Dn = Mp.copy()
-    sv = np.empty((n, M), dtype=np.int32)
-    tmp = np.empty((n, M), dtype=np.int32)
+    # zero-length lanes process no rows: xC stays -inf
+    xC_out = np.full(n, VF_WORD_MIN, dtype=np.int64)
+    overflowed = np.zeros(n, dtype=bool)
+    rows_run = batch.lengths.copy()  # overflowed lanes: cut below
+    threshold = profile.overflow_threshold
     # Delete-chain scan constants (see exact_d_chain), once per call, in
     # the int64 carrier: c[j] = sum of tdd[t] for t < j.  The chain
     # starts Mv + tmd are not floored first: a start below -32768 only
@@ -181,66 +186,83 @@ def viterbi_score_batch(
     c = np.concatenate(([0], np.cumsum(profile.tdd, dtype=np.int64)))
     tmd_c = profile.tmd - c[1 : M + 1]
     c_body = c[1:M]
-    g = np.empty((n, M), dtype=np.int64)
 
-    xJ = np.full(n, VF_WORD_MIN, dtype=np.int64)
-    xC = xJ.copy()
-    xB = np.full(n, profile.init_xB, dtype=np.int32)
-    overflowed = np.zeros(n, dtype=bool)
+    for ids, lens in lane_blocks(batch):
+        k, width = ids.size, int(lens[0])
+        live = live_counts(lens, width)
+        # (M+1)-wide double-buffered state rows; column 0 is the
+        # permanent minus-infinity boundary, so "node j-1" is the view
+        # [:, :M].  The D rows' column 1 stays -inf too: no Delete state
+        # precedes node 0.
+        Mp = np.full((k, M + 1), VF_WORD_MIN, dtype=np.int32)
+        Ip = Mp.copy()
+        Dp = Mp.copy()
+        Mn = Mp.copy()
+        In = Mp.copy()
+        Dn = Mp.copy()
+        sv = np.empty((k, M), dtype=np.int32)
+        tmp = np.empty((k, M), dtype=np.int32)
+        g = np.empty((k, M), dtype=np.int64)
+        xJ = np.full(k, VF_WORD_MIN, dtype=np.int64)
+        xC = xJ.copy()
+        xB = np.full(k, profile.init_xB, dtype=np.int32)
 
-    for i in range(batch.max_len):
-        p = int(live[i])
-        if p == 0:
-            break
-        Mv, Iv, Dv = Mn[:p, 1:], In[:p, 1:], Dn[:p, 2:]
-        s, t, h = sv[:p], tmp[:p], g[:p]
-        # Match: the four entry terms maxed unclipped, one clip, then the
-        # emission and one more clip
-        np.add(Mp[:p, :M], profile.enter_mm, out=s)
-        np.add(Ip[:p, :M], profile.enter_im, out=t)
-        np.maximum(s, t, out=s)
-        np.add(Dp[:p, :M], profile.enter_dm, out=t)
-        np.maximum(s, t, out=s)
-        np.maximum(s, (xB[:p] + profile.tbm)[:, None], out=s)
-        clip_i16(s, out=s)
-        np.take(profile.rwv, codes[:p, i], axis=0, out=t)
-        np.add(s, t, out=s)
-        clip_i16(s, out=Mv)
-        # Insert: max of two sums, one clip
-        np.add(Mp[:p, 1:], profile.tmi, out=s)
-        np.add(Ip[:p, 1:], profile.tii, out=t)
-        np.maximum(s, t, out=s)
-        clip_i16(s, out=Iv)
-        # Delete: max-plus prefix scan along the row, one clip
-        np.add(Mv, tmd_c, out=h)
-        np.maximum.accumulate(h, axis=1, out=h)
-        np.add(h[:, :-1], c_body, out=h[:, :-1])
-        clip_i16(h[:, :-1], out=Dv)
+        for i in range(width):
+            p = int(live[i])
+            if p == 0:
+                break
+            Mv, Iv, Dv = Mn[:p, 1:], In[:p, 1:], Dn[:p, 2:]
+            s, t, h = sv[:p], tmp[:p], g[:p]
+            # Match: the four entry terms maxed unclipped, one clip, then
+            # the emission and one more clip
+            np.add(Mp[:p, :M], profile.enter_mm, out=s)
+            np.add(Ip[:p, :M], profile.enter_im, out=t)
+            np.maximum(s, t, out=s)
+            np.add(Dp[:p, :M], profile.enter_dm, out=t)
+            np.maximum(s, t, out=s)
+            np.maximum(s, (xB[:p] + profile.tbm)[:, None], out=s)
+            clip_i16(s, out=s)
+            np.take(profile.rwv, batch.codes[ids[:p], i], axis=0, out=t)
+            np.add(s, t, out=s)
+            clip_i16(s, out=Mv)
+            # Insert: max of two sums, one clip
+            np.add(Mp[:p, 1:], profile.tmi, out=s)
+            np.add(Ip[:p, 1:], profile.tii, out=t)
+            np.maximum(s, t, out=s)
+            clip_i16(s, out=Iv)
+            # Delete: max-plus prefix scan along the row, one clip
+            np.add(Mv, tmd_c, out=h)
+            np.maximum.accumulate(h, axis=1, out=h)
+            np.add(h[:, :-1], c_body, out=h[:, :-1])
+            clip_i16(h[:, :-1], out=Dv)
 
-        xE = Mv.max(axis=1)
-        if guard is not None:
-            sat = np.count_nonzero(Mv == VF_WORD_MIN, axis=1)
-            # a lane that overflowed on an earlier row no longer counts
-            guard.saturations += int(sat[~overflowed[:p]].sum())
-        overflowed[:p] |= xE >= profile.overflow_threshold
-        xC[:p] = np.maximum(xC[:p], xE + profile.xE_move)
-        xJ[:p] = np.maximum(xJ[:p], xE + profile.xE_loop)
-        xB[:p] = np.maximum(
-            profile.base + profile.xNJ_move, xJ[:p] + profile.xNJ_move
-        )
-        # double buffering: this row's output is the next row's input
-        Mp, Mn = Mn, Mp
-        Ip, In = In, Ip
-        Dp, Dn = Dn, Dp
+            xE = Mv.max(axis=1)
+            if guard is not None:
+                guard.saturations += int(np.count_nonzero(Mv == VF_WORD_MIN))
+            np.maximum(xC[:p], xE + profile.xE_move, out=xC[:p])
+            np.maximum(xJ[:p], xE + profile.xE_loop, out=xJ[:p])
+            np.maximum(
+                xJ[:p] + profile.xNJ_move, profile.base + profile.xNJ_move,
+                out=xB[:p],
+            )
+            # double buffering: this row's output is the next row's input
+            Mp, Mn = Mn, Mp
+            Ip, In = In, Ip
+            Dp, Dn = Dn, Dp
+            if int(xE.max()) >= threshold:
+                keep = retire(xE >= threshold, p, i, ids, overflowed,
+                              rows_run, (Mp, Ip, Dp))
+                ids, lens, xJ, xC, xB = (
+                    ids[keep], lens[keep], xJ[keep], xC[keep], xB[keep]
+                )
+                live = live_counts(lens, width)
 
-    final = np.where(
-        xC == VF_WORD_MIN,
+        xC_out[ids] = xC
+
+    scores = np.where(
+        xC_out == VF_WORD_MIN,
         float("-inf"),
-        (xC + profile.xNJ_move - profile.base) / profile.scale - 2.0,
+        (xC_out + profile.xNJ_move - profile.base) / profile.scale - 2.0,
     )
-    final[overflowed] = float("inf")
-    scores = np.empty(n, dtype=np.float64)
-    scores[order] = final
-    out_over = np.empty(n, dtype=bool)
-    out_over[order] = overflowed
-    return FilterScores(scores=scores, overflowed=out_over)
+    scores[overflowed] = float("inf")
+    return FilterScores(scores=scores, overflowed=overflowed), rows_run

@@ -9,17 +9,21 @@ Figure 1 profile (P7Viterbi at 58% of wall time instead of 14.5%)
 because the NumPy vector units idle across the warp dimension.
 
 These kernels batch *across sequences* instead (AnySeq/GPU-style
-cross-alignment batching): each warp lane owns one whole sequence, all
-lanes advance one residue per lockstep row, and one vectorized NumPy
-invocation scores an entire length bucket.  The row loop now runs
-``max_len`` times per bucket, not ``total_residues`` times.
+cross-alignment batching): each lane owns one whole sequence and all
+lanes advance one residue per lockstep row.  Execution is the lockstep
+pass the ``cpu_sse`` engine runs too
+(:func:`~repro.cpu.msv_reference.msv_lockstep`,
+:func:`~repro.cpu.viterbi_reference.viterbi_lockstep`): one row loop
+per call over blocks of about a thousand length-sorted lanes, so the
+row loop runs ``max_len`` times per block, not per 32-lane bucket.
 
-Architecture-aware structure, observable through the counters:
+What the kernels add is the simulated launch - the 32-lane warp
+buckets a GPU would run - as accounting, observable through the
+counters:
 
 * **Length-sorted lane packing.**  Sequences are sorted by length
   (descending), so the lanes still live at row ``i`` always form a
-  contiguous prefix - the inner loop slices views instead of masking,
-  exactly like a GPU retiring trailing lanes.
+  contiguous prefix, exactly like a GPU retiring trailing lanes.
 * **Length bucketing bounds padding waste.**  A bucket closes when the
   next sequence is shorter than ``(1 - max_waste)`` of the bucket's
   first (longest) sequence, so the fraction of launched lane-rows that
@@ -28,15 +32,19 @@ Architecture-aware structure, observable through the counters:
   ``KernelCounters.padding_fraction`` (``grid_cells`` /
   ``padding_cells``).
 * **Lane retirement on overflow.**  A lane whose score overflows the
-  quantized range is deleted from the working arrays (rare), keeping
-  the hot loop branch-free.
+  quantized range leaves the live prefix after its overflow row, in
+  the lockstep pass and in every bucket's row count alike.
+* **Closed-form charges.**  Each lane's rows-run (its length, or the
+  rows through its overflow row) fixes every per-row event tally of
+  its bucket, so ``rows``, ``strips``, ``cells`` and the memory
+  traffic are charged per bucket without a per-bucket row loop.
 * **No reduction, no barriers.**  Each lane reduces its own row maximum
   serially in registers; the cross-lane shuffle of the per-warp kernels
   disappears (``shuffles == 0``, ``syncthreads == 0``).
 * **Conflict-free lane-major layout.**  Lane ``l``'s DP row lives at
   stride :func:`~repro.gpu.warp.conflict_free_lane_stride`, so a
   warp-wide access to cell ``j`` across lanes touches 32 distinct
-  banks; the WarpSanitizer certifies this on every sanitized row.
+  banks; the WarpSanitizer certifies this on every replayed row.
 
 Scores are bit-identical to :mod:`repro.cpu.msv_reference` and
 :mod:`repro.cpu.viterbi_reference` - the paper's accuracy-preservation
@@ -51,14 +59,16 @@ import numpy as np
 
 from ..alphabet.packing import packed_stream_bytes
 from ..analysis.sanitizer import resolve_sanitizer
-from ..constants import MSV_BYTE_MAX, VF_WORD_MAX, VF_WORD_MIN, WARP_SIZE
-from ..cpu.results import FilterScores
+from ..constants import WARP_SIZE
+from ..cpu.msv_reference import msv_lockstep
+from ..cpu.results import FilterScores, live_counts
+from ..cpu.viterbi_reference import viterbi_lockstep
 from ..errors import KernelError
 from ..gpu.counters import KernelCounters
 from ..gpu.device import KEPLER_K40, DeviceSpec
 from ..gpu.warp import conflict_free_lane_stride
+from ..scoring.guardrails import GuardrailCounters
 from ..scoring.msv_profile import MSVByteProfile
-from ..scoring.quantized import clip_i16
 from ..scoring.vit_profile import ViterbiWordProfile
 from ..sequence.database import PaddedBatch, SequenceDatabase
 from .memconfig import MemoryConfig
@@ -123,8 +133,9 @@ def pack_length_buckets(
     padding for strictly-larger warp-rounding padding.  The greedy
     pure-threshold split is admissible, so the DP's total padding never
     exceeds it; the realized fraction is reported as
-    ``KernelCounters.padding_fraction``.  Zero-length sequences never
-    join a bucket - they have no DP rows.
+    ``KernelCounters.padding_fraction``.  Among equal-cost plans the
+    first bucket is the smallest.  Zero-length sequences never join a
+    bucket - they have no DP rows.
     """
     if not 0.0 <= max_waste < 1.0:
         raise KernelError("max_waste must be in [0, 1)")
@@ -134,19 +145,36 @@ def pack_length_buckets(
     n = int(np.searchsorted(-sorted_lens, 0, side="left"))  # drop zero tail
     if n == 0:
         return []
-    # best[i]: minimal grid cells to pack lanes i..n-1; split[i]: its cut
+    sorted_lens = sorted_lens[:n]
+    # reach[i]: one past the last lane a bucket opened at lane i may take
+    floors = (1.0 - max_waste) * sorted_lens
+    reach = np.searchsorted(-sorted_lens, -floors, side="right")
+    reach = np.minimum(n, np.maximum(reach, np.arange(n) + WARP_SIZE))
+    # best[i]: minimal grid cells to pack lanes i..n-1.  best[] is
+    # non-increasing in i (dropping a bucket's first lane never costs
+    # more), so among the k sharing a warp count m the largest wins:
+    # only k = min(32 m, last) compete, and a k past the last admissible
+    # one repeats that one at a higher cost, so argmin never takes it.
+    # Every such k >= 32 (or reaches n), so 32 consecutive starts depend
+    # only on already-solved ones and are solved together.
     best = np.zeros(n + 1, dtype=np.int64)
-    split = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        width = int(sorted_lens[i])
-        floor = (1.0 - max_waste) * width
-        last = int(np.searchsorted(-sorted_lens[i:], -floor, side="right"))
-        last = min(n - i, max(last, WARP_SIZE))
-        k = np.arange(1, last + 1)
-        cost = (-(-k // WARP_SIZE)) * WARP_SIZE * width + best[i + k]
-        j = int(np.argmin(cost))
-        best[i] = cost[j]
-        split[i] = i + j + 1
+    won = np.zeros(n, dtype=np.int64)  # the winning k per start
+    for top in range(n, 0, -WARP_SIZE):
+        i = np.arange(max(0, top - WARP_SIZE), top)
+        last = reach[i] - i
+        m = np.arange(1, -(-int(last.max()) // WARP_SIZE) + 1)
+        k = np.minimum(m * WARP_SIZE, last[:, None])
+        cost = m * WARP_SIZE * sorted_lens[i, None] + best[i[:, None] + k]
+        j = np.argmin(cost, axis=1)
+        rows = np.arange(i.size)
+        best[i] = cost[rows, j]
+        won[i] = k[rows, j]
+    # argmin keeps the smallest k overall: the first minimal warp count,
+    # then the first k of that count reaching the same best[i + k]
+    starts = np.arange(n)
+    first_equal = np.searchsorted(-best, -best[starts + won], side="left")
+    group_lo = starts + (won - 1) // WARP_SIZE * WARP_SIZE + 1
+    split = np.maximum(first_equal, group_lo)
     buckets: list[LaneBucket] = []
     start = 0
     while start < n:
@@ -158,52 +186,97 @@ def pack_length_buckets(
     return buckets
 
 
-def _as_batch(database: SequenceDatabase | PaddedBatch) -> PaddedBatch:
-    if isinstance(database, SequenceDatabase):
-        return database.padded_batch()
-    return database
+def _account(
+    counters: KernelCounters | None,
+    san,
+    batch: PaddedBatch,
+    rows_run: np.ndarray,
+    M: int,
+    config: MemoryConfig,
+    max_waste: float,
+    label: str,
+    stride: int,
+    cell_bytes: int,
+    matrices: tuple[tuple[str, int], ...],
+) -> None:
+    """Charge the simulated bucketed launch for one lockstep pass.
 
-
-def _live_prefix_counts(lengths: np.ndarray, width: int) -> np.ndarray:
-    """``live[i]`` = number of lanes with length > ``i`` (descending
-    sort makes them a prefix)."""
-    counts = np.bincount(lengths.astype(np.int64), minlength=width + 1)
-    return lengths.size - np.cumsum(counts)[:width]
-
-
-def _charge_setup(counters: KernelCounters | None, batch: PaddedBatch,
-                  buckets: list[LaneBucket]) -> None:
-    if counters is None:
-        return
-    counters.sequences += batch.n_seqs
-    counters.global_bytes += int(
-        sum(packed_stream_bytes(int(L)) for L in batch.lengths)
-    )
-    for b in buckets:
-        grid = b.grid_cells()
-        counters.grid_cells += grid
-        counters.padding_cells += grid - int(batch.lengths[b.indices].sum())
-
-
-def _charge_row(counters: KernelCounters, p: int, M: int,
-                config: MemoryConfig) -> None:
-    """Event tally for one lockstep row over a ``p``-lane live prefix.
-
-    Per warp the lanes sweep the model serially: one conflict-free
-    warp-wide load + store per cell (the lane-major DP row), plus the
-    emission fetch from shared or global memory - the same convention
-    the per-warp kernels charge, transposed to lane-per-sequence.
+    Bucket ``b`` runs row ``i`` over its ``p_i`` lanes with
+    ``rows_run > i`` (longest first, so a prefix; retired lanes drop
+    out after their overflow row).  Per row and warp the lanes sweep
+    the model serially: one conflict-free warp-wide load + store per
+    cell of the lane-major DP row, plus the emission fetch from shared
+    or global memory - the same convention the per-warp kernels charge,
+    transposed to lane-per-sequence.  Summed over rows that is, per
+    bucket, ``rows = sum(rows_run)`` and ``strips = sum_i ceil(p_i/32)``,
+    which equals the sum of every 32nd rows-run in descending order
+    (warp ``w`` is live while lane ``32 w`` is).  With a sanitizer the
+    per-row warp accesses are replayed: one representative warp-wide
+    dependency load and store per matrix per row, the pattern being
+    identical for every warp and cell.
     """
-    n_warps = -(-p // WARP_SIZE)
-    counters.rows += p
-    counters.strips += n_warps
-    counters.cells += p * M
-    counters.shared_loads += n_warps * M
-    counters.shared_stores += n_warps * M
-    if config is MemoryConfig.SHARED:
-        counters.shared_loads += n_warps * M  # emission fetch
-    else:
-        counters.global_bytes += p * M  # emission fetch
+    buckets = pack_length_buckets(batch.lengths, max_waste=max_waste)
+    if counters is not None:
+        counters.sequences += batch.n_seqs
+        counters.global_bytes += int(
+            sum(packed_stream_bytes(int(L)) for L in batch.lengths)
+        )
+    rows = strips = 0
+    for b in buckets:
+        if counters is not None:
+            grid = b.grid_cells()
+            counters.grid_cells += grid
+            counters.padding_cells += grid - int(batch.lengths[b.indices].sum())
+        run = np.sort(rows_run[b.indices])[::-1]
+        rows += int(run.sum())
+        strips += int(run[::WARP_SIZE].sum())
+        if san is None:
+            continue
+        for i, p in enumerate(live_counts(run, int(run[0]))):
+            san.begin_row(f"{label}:row{i}")
+            lanes = np.arange(min(WARP_SIZE, int(p)), dtype=np.int64) * stride
+            cell = cell_bytes * (i % M)
+            for mat, base in matrices:
+                san.shared_load(lanes + base + cell, f"{label}:dep-load{mat}",
+                                dependency=True)
+            for mat, base in matrices:
+                san.shared_store(lanes + base + cell + cell_bytes,
+                                 f"{label}:store{mat}")
+    if counters is not None:
+        counters.rows += rows
+        counters.strips += strips
+        counters.cells += rows * M
+        counters.shared_loads += strips * M
+        counters.shared_stores += strips * M
+        if config is MemoryConfig.SHARED:
+            counters.shared_loads += strips * M  # emission fetch
+        else:
+            counters.global_bytes += rows * M  # emission fetch
+    if san is not None and counters is not None:
+        report = san.report()
+        counters.attach_sanitizer(report)
+        counters.bank_conflict_extra += report.conflict_extra
+
+
+def _run(lockstep, profile, database, config, counters, sanitize,
+         max_waste, layout) -> FilterScores:
+    """Score with the shared lockstep pass, then account the launch.
+
+    ``layout`` is the kernel's ``(label, lane stride, cell bytes,
+    matrices)`` for :func:`_account`.
+    """
+    batch = database
+    if isinstance(database, SequenceDatabase):
+        batch = database.padded_batch()
+    san = resolve_sanitizer(sanitize)
+    guard = None if counters is None else GuardrailCounters()
+    result, rows_run = lockstep(profile, batch, guard)
+    if guard is not None:
+        counters.saturations += guard.saturations
+    if counters is not None or san is not None:
+        _account(counters, san, batch, rows_run, profile.M, config,
+                 max_waste, *layout)
+    return result
 
 
 def msv_batched_kernel(
@@ -218,105 +291,15 @@ def msv_batched_kernel(
     """Score a database with the cross-sequence batched MSV kernel.
 
     Bit-identical to :func:`repro.cpu.msv_reference.msv_score_batch`
-    (and therefore to per-sequence scoring); the u8 state is carried
-    natively with the wraparound-repair saturation trick, so each row
-    costs ~6 one-byte passes over the live prefix instead of the
-    reference's four-byte clip chains.
+    (and therefore to per-sequence scoring): both run
+    :func:`~repro.cpu.msv_reference.msv_lockstep`, whose u8 state is
+    carried natively with the clamp-before-add saturation identities.
     """
-    batch = _as_batch(database)
-    n, M = batch.n_seqs, profile.M
-    san = resolve_sanitizer(sanitize)
-    buckets = pack_length_buckets(batch.lengths, max_waste=max_waste)
-    _charge_setup(counters, batch, buckets)
-
-    # zero-length sequences process no rows: final xJ stays 0
-    scores = np.full(n, profile.final_score_nats(0), dtype=np.float64)
-    overflowed = np.zeros(n, dtype=bool)
-
-    rbv_u8 = profile.rbv.astype(np.uint8)  # biased costs all fit u8
-    bias = np.uint8(profile.bias)
-    # sv + bias saturates at 255 exactly when sv >= 255 - bias; compare
-    # *before* the wrapped add, repair the wrapped cells after
-    sat_floor = np.uint8(MSV_BYTE_MAX - profile.bias)
-    overflow_at = np.uint8(min(MSV_BYTE_MAX, profile.overflow_threshold))
-    stride = conflict_free_lane_stride(M + 1)  # u8 row, cell 0 = -inf
-
-    for bucket in buckets:
-        idx = bucket.indices
-        width = bucket.width
-        codes = batch.codes[idx, :width]
-        lens = batch.lengths[idx]
-        live = _live_prefix_counts(lens, width)
-        k = idx.size
-        rows = np.zeros((k, M + 1), dtype=np.uint8)
-        xJ = np.zeros(k, dtype=np.int32)
-        xB = np.full(k, profile.init_xB, dtype=np.int32)
-
-        for i in range(width):
-            p = int(live[i])
-            if p == 0:
-                break
-            sub = rows[:p]
-            rb = rbv_u8[codes[:p, i]]
-            if san is not None:
-                # one representative warp-wide access per row: the
-                # pattern is identical for every warp and cell
-                san.begin_row(f"msv_batched:row{i}")
-                lanes = np.arange(min(WARP_SIZE, p), dtype=np.int64) * stride
-                j = i % M
-                san.shared_load(lanes + j, "msv_batched:dep-load",
-                                dependency=True)
-            xBv = np.maximum(xB[:p] - profile.tbm, 0).astype(np.uint8)
-            sv = np.maximum(sub[:, :M], xBv[:, None])
-            sat = sv >= sat_floor
-            if counters is not None:
-                # guardrail: cells at the u8 ceiling after the biased
-                # add - matches the reference engine's guard tally
-                counters.saturations += int(np.count_nonzero(sat))
-                _charge_row(counters, p, M, config)
-            sv += bias  # u8 wraps where sat; repaired next line
-            sv[sat] = MSV_BYTE_MAX
-            under = rb > sv
-            sv -= rb  # u8 wraps where under; repaired next line
-            sv[under] = 0
-            sub[:, 1:] = sv
-            if san is not None:
-                san.shared_store(lanes + (i % M) + 1, "msv_batched:store")
-            xE = sv.max(axis=1)
-
-            bad = xE >= overflow_at
-            if bad.any():
-                good = np.flatnonzero(~bad)
-                xE_g = xE[good].astype(np.int32)
-                xJ[good] = np.maximum(
-                    xJ[good], np.maximum(0, xE_g - profile.tec)
-                )
-                xB[good] = np.maximum(
-                    0, np.maximum(profile.base, xJ[good]) - profile.tjb
-                )
-                retire = np.flatnonzero(bad)
-                scores[idx[retire]] = float("inf")
-                overflowed[idx[retire]] = True
-                keep = np.ones(k, dtype=bool)
-                keep[retire] = False
-                rows, codes, xJ, xB = rows[keep], codes[keep], xJ[keep], xB[keep]
-                lens, idx = lens[keep], idx[keep]
-                k = idx.size
-                live = _live_prefix_counts(lens, width)
-            else:
-                xE_i = xE.astype(np.int32)
-                xJ[:p] = np.maximum(xJ[:p], np.maximum(0, xE_i - profile.tec))
-                xB[:p] = np.maximum(
-                    0, np.maximum(profile.base, xJ[:p]) - profile.tjb
-                )
-
-        scores[idx] = ((xJ - profile.tjb) - profile.base) / profile.scale - 3.0
-
-    if san is not None and counters is not None:
-        report = san.report()
-        counters.attach_sanitizer(report)
-        counters.bank_conflict_extra += report.conflict_extra
-    return FilterScores(scores=scores, overflowed=overflowed)
+    # one u8 row per lane; cell 0 is the byte-0 minus infinity
+    layout = ("msv_batched", conflict_free_lane_stride(profile.M + 1), 1,
+              (("", 0),))
+    return _run(msv_lockstep, profile, database, config, counters, sanitize,
+                max_waste, layout)
 
 
 def viterbi_batched_kernel(
@@ -331,137 +314,13 @@ def viterbi_batched_kernel(
     """Score a database with the cross-sequence batched P7Viterbi kernel.
 
     Bit-identical to
-    :func:`repro.cpu.viterbi_reference.viterbi_score_batch`.  Exactness
-    arguments for the fused arithmetic: saturating clips commute with
-    ``max`` over a common interval, so the three entry terms are maxed
-    unclipped in int32 and clipped once; the Delete-chain prefix scan's
-    ``cumsum(tdd)`` is profile-constant and hoisted out of the row loop;
-    the ``(M+1)``-wide state rows carry a permanent -inf column 0 so the
-    node shift is a view, not a concatenate.
+    :func:`repro.cpu.viterbi_reference.viterbi_score_batch`: both run
+    :func:`~repro.cpu.viterbi_reference.viterbi_lockstep`, the fused
+    word recurrence argued exact in that module.
     """
-    batch = _as_batch(database)
-    n, M = batch.n_seqs, profile.M
-    san = resolve_sanitizer(sanitize)
-    buckets = pack_length_buckets(batch.lengths, max_waste=max_waste)
-    _charge_setup(counters, batch, buckets)
-
-    # zero-length sequences process no rows: xC stays -inf
-    scores = np.full(n, float("-inf"), dtype=np.float64)
-    overflowed = np.zeros(n, dtype=bool)
-
-    # hoisted Delete-chain scan constants (see cpu.viterbi_reference
-    # .exact_d_chain): c[j] = sum of tdd[t] for t < j
-    tmd = profile.tmd.astype(np.int64)
-    c = np.concatenate(([0], np.cumsum(profile.tdd.astype(np.int64))))
-    c_tail = c[1 : M + 1]
-    c_body = c[1:M]
     # i16 rows for three matrices per lane: M, I, D
-    stride = conflict_free_lane_stride(3 * 2 * (M + 1))
-    base_i, base_d = 2 * (M + 1), 4 * (M + 1)
-
-    for bucket in buckets:
-        idx = bucket.indices
-        width = bucket.width
-        codes = batch.codes[idx, :width]
-        lens = batch.lengths[idx]
-        live = _live_prefix_counts(lens, width)
-        k = idx.size
-        # column 0 is the permanent minus-infinity boundary: the
-        # "previous node" shift becomes the view [:, :M]
-        Mp = np.full((k, M + 1), VF_WORD_MIN, dtype=np.int32)
-        Ip = Mp.copy()
-        Dp = Mp.copy()
-        xJ = np.full(k, VF_WORD_MIN, dtype=np.int64)
-        xC = xJ.copy()
-        xB = np.full(k, profile.init_xB, dtype=np.int64)
-
-        for i in range(width):
-            p = int(live[i])
-            if p == 0:
-                break
-            Mp_s, Ip_s, Dp_s = Mp[:p], Ip[:p], Dp[:p]
-            rw = profile.rwv[codes[:p, i]]
-            if san is not None:
-                san.begin_row(f"vit_batched:row{i}")
-                lanes = np.arange(min(WARP_SIZE, p), dtype=np.int64) * stride
-                j2 = 2 * (i % M)
-                for mat, base_b in (("m", 0), ("i", base_i), ("d", base_d)):
-                    san.shared_load(lanes + base_b + j2,
-                                    f"vit_batched:dep-load:{mat}",
-                                    dependency=True)
-            xBv = (xB[:p] + profile.tbm).astype(np.int32)
-            sv = np.maximum(
-                xBv[:, None], Mp_s[:, :M] + profile.enter_mm
-            )
-            np.maximum(sv, Ip_s[:, :M] + profile.enter_im, out=sv)
-            np.maximum(sv, Dp_s[:, :M] + profile.enter_dm, out=sv)
-            clip_i16(sv, out=sv)
-            Mv = sv + rw
-            clip_i16(Mv, out=Mv)
-            if counters is not None:
-                # guardrail: M cells pinned at the i16 floor, the same
-                # tally the reference engine keeps
-                counters.saturations += int(
-                    np.count_nonzero(Mv == VF_WORD_MIN)
-                )
-                _charge_row(counters, p, M, config)
-            Iv = np.maximum(
-                Mp_s[:, 1:] + profile.tmi, Ip_s[:, 1:] + profile.tii
-            )
-            clip_i16(Iv, out=Iv)
-            start = np.maximum(Mv.astype(np.int64) + tmd, VF_WORD_MIN)
-            h = np.maximum.accumulate(start - c_tail, axis=-1)
-            Dv = np.full((p, M), VF_WORD_MIN, dtype=np.int64)
-            # clip_i16 == np.maximum(., VF_WORD_MIN) here: every tdd
-            # cost is <= 0, so c_body + h never exceeds the i16 ceiling;
-            # the explicit ceiling makes the word range locally provable
-            Dv[:, 1:] = clip_i16(c_body + h[:, :-1])
-            Mp_s[:, 1:] = Mv
-            Ip_s[:, 1:] = Iv
-            Dp_s[:, 1:] = Dv
-            if san is not None:
-                for mat, base_b in (("m", 0), ("i", base_i), ("d", base_d)):
-                    san.shared_store(lanes + base_b + 2 * (i % M) + 2,
-                                     f"vit_batched:store:{mat}")
-            xE = Mv.max(axis=1)
-
-            bad = xE >= VF_WORD_MAX
-            if bad.any():
-                good = np.flatnonzero(~bad)
-                xE_g = xE[good].astype(np.int64)
-                xC[good] = np.maximum(xC[good], xE_g + profile.xE_move)
-                xJ[good] = np.maximum(xJ[good], xE_g + profile.xE_loop)
-                xB[good] = np.maximum(
-                    profile.base + profile.xNJ_move,
-                    xJ[good] + profile.xNJ_move,
-                )
-                retire = np.flatnonzero(bad)
-                scores[idx[retire]] = float("inf")
-                overflowed[idx[retire]] = True
-                keep = np.ones(k, dtype=bool)
-                keep[retire] = False
-                Mp, Ip, Dp = Mp[keep], Ip[keep], Dp[keep]
-                codes, xJ, xC, xB = codes[keep], xJ[keep], xC[keep], xB[keep]
-                lens, idx = lens[keep], idx[keep]
-                k = idx.size
-                live = _live_prefix_counts(lens, width)
-            else:
-                xE64 = xE.astype(np.int64)
-                xC[:p] = np.maximum(xC[:p], xE64 + profile.xE_move)
-                xJ[:p] = np.maximum(xJ[:p], xE64 + profile.xE_loop)
-                xB[:p] = np.maximum(
-                    profile.base + profile.xNJ_move,
-                    xJ[:p] + profile.xNJ_move,
-                )
-
-        scores[idx] = np.where(
-            xC == VF_WORD_MIN,
-            float("-inf"),
-            (xC + profile.xNJ_move - profile.base) / profile.scale - 2.0,
-        )
-
-    if san is not None and counters is not None:
-        report = san.report()
-        counters.attach_sanitizer(report)
-        counters.bank_conflict_extra += report.conflict_extra
-    return FilterScores(scores=scores, overflowed=overflowed)
+    row = 2 * (profile.M + 1)
+    layout = ("vit_batched", conflict_free_lane_stride(3 * row), 2,
+              ((":m", 0), (":i", row), (":d", 2 * row)))
+    return _run(viterbi_lockstep, profile, database, config, counters,
+                sanitize, max_waste, layout)

@@ -1,6 +1,7 @@
 """Interval abstract interpreter: certification of the real kernels,
-escape detection on injected bugs, wrap-repair recognition, encode-clip
-discharge, and the --prove CLI surface."""
+escape detection on injected bugs, ``out=`` stores and the u8
+clamp-before-add identities, encode-clip discharge, and the --prove
+CLI surface."""
 
 import ast
 import json
@@ -48,15 +49,16 @@ class TestRealKernelsCertified:
             assert target["unproven"] == 0
             for fn in target["functions"]:
                 for site in fn["sites"]:
-                    assert site["status"] in {"proven", "by_helper", "by_repair"}
+                    assert site["status"] in {"proven", "by_helper"}
 
     def test_kernels_have_nontrivial_obligations(self):
-        """The proof is not vacuous: the batched kernel alone carries
-        many arithmetic/store obligations."""
-        relpath = "src/repro/kernels/batched.py"
+        """The proof is not vacuous: the lockstep MSV pass the batched
+        kernel and the cpu_sse engine share carries native u8
+        arithmetic and store obligations."""
+        relpath = "src/repro/cpu/msv_reference.py"
         proof = analyze_source(relpath, _real_source(relpath))
         kinds = {s.kind for fn in proof.functions for s in fn.sites}
-        assert {"store", "helper", "repair"} <= kinds
+        assert {"store", "arith", "helper", "cast"} <= kinds
 
 
 class TestEscapeDetection:
@@ -107,42 +109,105 @@ class TestEscapeDetection:
         assert proof.unproven == []
 
 
-class TestWrapRepair:
-    """The msv kernel's biased-u8 wrap-and-repair idiom must be
-    recognized; a broken repair must not be."""
+class TestOutStores:
+    """``out=`` writes are stores: into a view or a subscript of a
+    narrow or i16-tagged array they are obligations on the root."""
 
-    _TEMPLATE = textwrap.dedent(
+    _VIEW = textwrap.dedent(
         """
         import numpy as np
-        from repro.scoring.msv_profile import MSVByteProfile
+        from repro.constants import VF_WORD_MIN
 
-        def step(prof: MSVByteProfile, n):
-            sv = np.zeros(n, dtype=np.uint8)
-            rb = prof.rbv[0]
-            bias = prof.bias
-            sat_floor = 255 - bias
-            sat = sv >= sat_floor
-            sv += bias
-            sv[sat] = {repair_value}
-            under = rb > sv
-            sv -= rb
-            sv[under] = 0
-            return sv
+        def view_out(n, M):
+            Mn = np.full((n, M + 1), VF_WORD_MIN, dtype=np.int32)
+            Mv = Mn[:, 1:]
+            np.add(Mv, 70000, out=Mv)
+            return Mn
+        """
+    )
+    _SUBSCRIPT = textwrap.dedent(
+        """
+        import numpy as np
+        from repro.constants import VF_WORD_MIN
+
+        def subscript_out(n, M):
+            Mn = np.full((n, M + 1), VF_WORD_MIN, dtype=np.int32)
+            np.add(Mn[:, :1], 70000, out=Mn[:, :1])
+            return Mn
         """
     )
 
-    def test_correct_repair_certified(self):
-        src = self._TEMPLATE.format(repair_value="255")
-        proof = analyze_source("src/repro/kernels/msv_warp.py", src)
-        assert proof.unproven == []
-        statuses = {s.status for fn in proof.functions for s in fn.sites}
-        assert "by_repair" in statuses
+    @pytest.mark.parametrize("src", [_VIEW, _SUBSCRIPT], ids=["view", "subscript"])
+    def test_out_write_into_tagged_carrier_is_unproven(self, src):
+        proof = analyze_source("src/repro/cpu/viterbi_reference.py", src)
+        bad = proof.unproven
+        assert len(bad) == 1
+        assert bad[0].kind == "store"
+        assert (bad[0].lo, bad[0].hi) == (37232, 37232)
 
-    def test_broken_repair_value_flagged(self):
-        # repairing to 300 leaves the array out of u8 range
-        src = self._TEMPLATE.format(repair_value="300")
-        proof = analyze_source("src/repro/kernels/msv_warp.py", src)
-        assert proof.unproven != []
+    def test_uninitialised_wide_scratch_is_not_a_carrier(self):
+        """A fused wide sum may sit in np.empty int32 scratch."""
+        src = textwrap.dedent(
+            """
+            import numpy as np
+
+            def fused(n, M):
+                s = np.empty((n, M), dtype=np.int32)
+                np.add(s[:, :1], 70000, out=s[:, :1])
+                return s
+            """
+        )
+        proof = analyze_source("src/repro/cpu/viterbi_reference.py", src)
+        assert proof.unproven == []
+
+    _CLAMP = textwrap.dedent(
+        """
+        import numpy as np
+        from repro.constants import MSV_BYTE_MAX
+        from repro.scoring.msv_profile import MSVByteProfile
+
+        def step(profile: MSVByteProfile):
+            R = profile.rbv.astype(np.uint8)
+            sv = R[:, 1:]
+            rb = profile.rbv.astype(np.uint8)
+            bias = profile.bias
+            cap = MSV_BYTE_MAX - bias
+            np.minimum(sv, cap, out=sv)
+            np.add(sv, bias, out=sv)
+            np.maximum(sv, rb, out=sv)
+            np.subtract(sv, rb, out=sv)
+            return R
+        """
+    )
+
+    def test_clamp_before_add_identities_proven(self):
+        proof = analyze_source("src/repro/cpu/msv_reference.py", self._CLAMP)
+        assert proof.unproven == []
+        arith = [s for fn in proof.functions for s in fn.sites if s.kind == "arith"]
+        assert [(s.lo, s.hi) for s in arith] == [(0, 255), (0, 255)]
+
+    @pytest.mark.parametrize("drop", [
+        "np.minimum(sv, cap, out=sv)",
+        "np.maximum(sv, rb, out=sv)",
+        "cap = MSV_BYTE_MAX - bias",
+    ])
+    def test_clamp_without_its_bound_is_unproven(self, drop):
+        src = self._CLAMP.replace(drop, "pass")
+        if drop.startswith("cap"):
+            src = src.replace("pass", "cap = MSV_BYTE_MAX - 1")
+        proof = analyze_source("src/repro/cpu/msv_reference.py", src)
+        assert len(proof.unproven) >= 1
+
+    def test_msv_reference_out_stores_are_proven_sites(self):
+        relpath = "src/repro/cpu/msv_reference.py"
+        assert relpath in PROVE_TARGETS
+        proof = analyze_source(relpath, _real_source(relpath))
+        stores = [
+            s for fn in proof.functions if fn.name == "msv_lockstep"
+            for s in fn.sites if s.kind == "store" and s.detail.startswith("out=")
+        ]
+        assert {s.detail for s in stores} == {"out=sv", "out=rb"}
+        assert all(s.status == "proven" for s in stores)
 
 
 class TestEncodeClipDischarge:

@@ -11,9 +11,12 @@ from repro.cpu import (
     msv_score_sequence_striped,
     msv_striped_profile,
 )
+from repro.constants import MSV_BYTE_MAX
+from repro.cpu import results as cpu_results
 from repro.errors import KernelError
 from repro.hmm import SearchProfile, sample_hmm
 from repro.scoring import MSVByteProfile
+from repro.scoring.guardrails import GuardrailCounters
 from repro.sequence import DigitalSequence, SequenceDatabase, random_sequence_codes
 
 
@@ -151,6 +154,125 @@ class TestBatch:
         assert np.allclose(
             batch.bits()[finite], batch.scores[finite] / np.log(2)
         )
+
+
+def _random_byte_profile(M, gen):
+    """Any profile the byte system can hold: costs across [0, 255], so
+    cells pin at the u8 ceiling and lanes overflow."""
+    return MSVByteProfile(
+        M=M, L=100, rbv=gen.integers(0, MSV_BYTE_MAX + 1, size=(29, M)),
+        tbm=int(gen.integers(0, 40)), tec=int(gen.integers(0, 40)),
+        tjb=int(gen.integers(0, 40)), bias=int(gen.integers(0, 120)),
+    )
+
+
+def _assert_batch_matches_spec(prof, seqs):
+    """The lockstep batch scorer against the per-sequence spec: scores,
+    overflow flags and the saturation tally."""
+    guard = GuardrailCounters()
+    got = msv_score_batch(prof, SequenceDatabase(seqs), guard=guard)
+    spec_guard = GuardrailCounters()
+    want = np.array(
+        [msv_score_sequence(prof, s.codes, guard=spec_guard) for s in seqs]
+    )
+    assert np.array_equal(got.scores, want)
+    assert np.array_equal(got.overflowed, want == float("inf"))
+    assert guard.saturations == spec_guard.saturations
+    return got
+
+
+class TestLockstepBatch:
+    """``msv_score_batch`` runs natively in u8 with the clamp-before-add
+    identities, retires overflowed lanes and cuts lanes into blocks; the
+    spec does none of that."""
+
+    @given(
+        M=st.integers(min_value=1, max_value=50),
+        lengths=st.lists(st.integers(min_value=1, max_value=90),
+                         min_size=1, max_size=8),
+        conservation=st.sampled_from([3.0, 30.0, 90.0]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_ragged_batches_match_spec(self, M, lengths, conservation, seed):
+        gen = np.random.default_rng(seed)
+        hmm = sample_hmm(M, gen, conservation=conservation)
+        prof = MSVByteProfile.from_profile(SearchProfile(hmm, L=100))
+        seqs = []
+        for k, L in enumerate(lengths):
+            if k % 2:  # homolog-rich lanes, cut to length: some overflow
+                codes = np.concatenate(
+                    [hmm.sample_sequence(gen) for _ in range(1 + L // M)]
+                )[:L]
+            else:
+                codes = random_sequence_codes(L, gen)
+            seqs.append(DigitalSequence(f"s{k}", codes.astype(np.uint8)))
+        _assert_batch_matches_spec(prof, seqs)
+
+    @given(
+        M=st.integers(min_value=1, max_value=40),
+        lengths=st.lists(st.integers(min_value=1, max_value=60),
+                         min_size=1, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_arbitrary_byte_profiles_match_spec(self, M, lengths, seed):
+        gen = np.random.default_rng(seed)
+        prof = _random_byte_profile(M, gen)
+        seqs = [DigitalSequence(f"s{k}", random_sequence_codes(L, gen))
+                for k, L in enumerate(lengths)]
+        _assert_batch_matches_spec(prof, seqs)
+
+    def test_overflow_mid_batch_on_equal_lengths(self):
+        """Every lane is live on every row until the hot lane overflows
+        some rows in; it then leaves the live prefix mid-batch."""
+        gen = np.random.default_rng(4)
+        hmm = sample_hmm(30, gen, conservation=90.0)
+        prof = MSVByteProfile.from_profile(SearchProfile(hmm, L=400))
+        hot = np.concatenate([hmm.sample_sequence(gen) for _ in range(8)])
+        hot = hot[:120].astype(np.uint8)
+        assert np.isfinite(msv_score_sequence(prof, hot[:5]))
+        seqs = [DigitalSequence(f"r{k}", random_sequence_codes(120, gen))
+                for k in range(4)]
+        seqs.insert(2, DigitalSequence("hot", hot))
+        got = _assert_batch_matches_spec(prof, seqs)
+        assert got.overflowed.tolist() == [False, False, True, False, False]
+
+    @pytest.mark.parametrize("lengths", [[1], [5, 1, 3], [40, 40]])
+    def test_single_node_model(self, lengths):
+        prof = _profile(1, seed=3)
+        gen = np.random.default_rng(len(lengths))
+        seqs = [DigitalSequence(f"s{k}", random_sequence_codes(L, gen))
+                for k, L in enumerate(lengths)]
+        _assert_batch_matches_spec(prof, seqs)
+
+    def test_more_lanes_than_one_block(self):
+        """Lanes past the first block start again at their own longest
+        lane; overflowing homologs sit in both blocks."""
+        gen = np.random.default_rng(8)
+        hmm = sample_hmm(12, gen, conservation=90.0)
+        prof = MSVByteProfile.from_profile(SearchProfile(hmm, L=30))
+        n = cpu_results.LANE_BLOCK + 40
+        lengths = gen.integers(1, 9, size=n)
+        seqs = []
+        for k, L in enumerate(lengths):
+            if k % 97 == 0:
+                codes = np.concatenate([hmm.sample_sequence(gen) for _ in range(6)])
+                seqs.append(DigitalSequence(f"h{k}", codes[:40].astype(np.uint8)))
+            else:
+                seqs.append(DigitalSequence(f"s{k}", random_sequence_codes(int(L), gen)))
+        got = _assert_batch_matches_spec(prof, seqs)
+        assert got.overflowed.any()
+
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_tiny_blocks_match_spec(self, block, monkeypatch):
+        """Many blocks, each retiring lanes on its own."""
+        monkeypatch.setattr(cpu_results, "LANE_BLOCK", block)
+        gen = np.random.default_rng(block)
+        prof = _random_byte_profile(17, gen)
+        seqs = [DigitalSequence(f"s{k}", random_sequence_codes(int(L), gen))
+                for k, L in enumerate(gen.integers(1, 50, size=11))]
+        _assert_batch_matches_spec(prof, seqs)
 
 
 @given(

@@ -254,8 +254,8 @@ class TestFusedBatch:
         _assert_batch_matches_spec(prof, seqs)
 
     def test_overflow_mid_batch_on_equal_lengths(self):
-        """Every lane is live on every row; the hot lane overflows after
-        row 10 and keeps computing beside the others until the end."""
+        """Every lane is live on every row until the hot lane overflows
+        after row 10; it then leaves the live prefix mid-batch."""
         gen = np.random.default_rng(4)
         hmm = sample_hmm(30, gen, conservation=90.0)
         prof = ViterbiWordProfile.from_profile(SearchProfile(hmm, L=400))

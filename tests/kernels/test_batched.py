@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.alphabet.packing import packed_stream_bytes
 from repro.cpu import (
     msv_score_batch,
     msv_score_sequence,
@@ -21,6 +22,8 @@ from repro.kernels.batched import (
     pack_length_buckets,
     viterbi_batched_kernel,
 )
+from repro.kernels.memconfig import MemoryConfig
+from repro.scoring.guardrails import GuardrailCounters
 from repro.scoring import MSVByteProfile, ViterbiWordProfile
 from repro.sequence import random_sequence_codes
 from repro.sequence.database import PaddedBatch
@@ -45,7 +48,52 @@ def _padded_batch(lengths, rng):
     return PaddedBatch(codes=codes, lengths=lengths)
 
 
+def _reference_pack(lengths, max_waste=DEFAULT_MAX_WASTE):
+    """The packing DP evaluated over every k: the oracle the packer's
+    warp-count candidates must reproduce, tie-break included."""
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lens = lengths[order]
+    n = int(np.searchsorted(-sorted_lens, 0, side="left"))
+    best = np.zeros(n + 1, dtype=np.int64)
+    split = np.zeros(n, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        width = int(sorted_lens[i])
+        floor = (1.0 - max_waste) * width
+        last = int(np.searchsorted(-sorted_lens[i:], -floor, side="right"))
+        last = min(n - i, max(last, WARP))
+        k = np.arange(1, last + 1)
+        cost = (-(-k // WARP)) * WARP * width + best[i + k]
+        j = int(np.argmin(cost))
+        best[i] = cost[j]
+        split[i] = i + j + 1
+    plan, start = [], 0
+    while start < n:
+        end = int(split[start])
+        plan.append((order[start:end].tolist(), int(sorted_lens[start])))
+        start = end
+    return plan
+
+
 class TestPacker:
+    @pytest.mark.parametrize("kind", ["random", "equal", "heavy_tail", "ties"])
+    @pytest.mark.parametrize("max_waste", [0.0, DEFAULT_MAX_WASTE, 0.6])
+    def test_matches_reference_dp(self, kind, max_waste):
+        gen = np.random.default_rng([len(kind), int(100 * max_waste)])
+        for _ in range(12):
+            n = int(gen.integers(1, 600))
+            if kind == "random":
+                lengths = gen.integers(0, 400, size=n)
+            elif kind == "equal":
+                lengths = np.full(n, int(gen.integers(1, 300)))
+            elif kind == "heavy_tail":
+                lengths = (gen.pareto(1.1, size=n) * 25 + 1).astype(np.int64)
+            else:
+                lengths = gen.integers(1, 5, size=n)
+            got = [(b.indices.tolist(), b.width)
+                   for b in pack_length_buckets(lengths, max_waste=max_waste)]
+            assert got == _reference_pack(lengths, max_waste)
+
     def test_indices_partition_the_batch(self, rng):
         lengths = rng.integers(1, 400, size=257)
         buckets = pack_length_buckets(lengths)
@@ -171,7 +219,75 @@ class TestAccuracy:
             assert np.array_equal(ref.overflowed, got.overflowed)
 
 
+def _rows_run(spec, prof, batch):
+    """Rows each lane ran, from the per-sequence spec alone: its length,
+    or the rows through the first one whose prefix overflows."""
+    run = []
+    for codes, L in zip(batch.codes, batch.lengths):
+        L = int(L)
+        r = L
+        if L and spec(prof, codes[:L]) == float("inf"):
+            r = next(i for i in range(1, L + 1)
+                     if spec(prof, codes[:i]) == float("inf"))
+        run.append(r)
+    return np.array(run, dtype=np.int64)
+
+
+def _per_row_tally(spec, prof, batch, config):
+    """Every counter the simulated launch charges, tallied row by row
+    over each 32-lane bucket, as a per-row kernel loop would."""
+    c = KernelCounters()
+    M = prof.M
+    c.sequences = batch.n_seqs
+    c.global_bytes = sum(packed_stream_bytes(int(L)) for L in batch.lengths)
+    guard = GuardrailCounters()
+    for codes, L in zip(batch.codes, batch.lengths):
+        if L:
+            spec(prof, codes[: int(L)], guard=guard)
+    c.saturations = guard.saturations
+    run = _rows_run(spec, prof, batch)
+    for b in pack_length_buckets(batch.lengths):
+        c.grid_cells += b.grid_cells()
+        c.padding_cells += b.grid_cells() - int(batch.lengths[b.indices].sum())
+        for i in range(b.width):
+            p = int((run[b.indices] > i).sum())
+            n_warps = -(-p // WARP)
+            c.rows += p
+            c.strips += n_warps
+            c.cells += p * M
+            c.shared_loads += n_warps * M
+            c.shared_stores += n_warps * M
+            if config is MemoryConfig.SHARED:
+                c.shared_loads += n_warps * M
+            else:
+                c.global_bytes += p * M
+    return c
+
+
 class TestCounters:
+    @pytest.mark.parametrize("config", list(MemoryConfig))
+    @pytest.mark.parametrize("kernel_idx", [0, 1])
+    def test_counters_equal_per_row_tally(self, kernel_idx, config, rng):
+        """Closed-form per-bucket charges == the per-row tally, with
+        ragged buckets and overflowed lanes retiring mid-bucket."""
+        hmm = sample_hmm(40, rng, conservation=30.0)
+        sp = SearchProfile(hmm, L=90)
+        prof = (MSVByteProfile.from_profile(sp),
+                ViterbiWordProfile.from_profile(sp))[kernel_idx]
+        spec = (msv_score_sequence, viterbi_score_sequence)[kernel_idx]
+        batched = (msv_batched_kernel, viterbi_batched_kernel)[kernel_idx]
+        hom = homolog_database(30, 90, rng, hmm=hmm, homolog_fraction=0.5)
+        lengths = [len(s) for s in hom] + [0, 1, 33, 34, 35, 120, 121]
+        batch = _padded_batch(lengths, rng)
+        for k, seq in enumerate(hom):
+            batch.codes[k, : len(seq)] = seq.codes
+        c = KernelCounters()
+        result = batched(prof, batch, config=config, counters=c)
+        assert result.overflowed.any()  # retirement is exercised
+        want = _per_row_tally(spec, prof, batch, config)
+        got = {k: v for k, v in vars(c).items() if k != "sanitizer"}
+        assert got == {k: v for k, v in vars(want).items() if k != "sanitizer"}
+
     def test_counters_match_warp_kernel(self, rng):
         """Same model+database => same rows/cells/saturations as the
         one-sequence-per-warp kernels; only the launch geometry differs."""
@@ -243,6 +359,24 @@ class TestSanitizer:
         assert c.sanitizer is not None
         assert c.sanitizer.clean
         assert c.bank_conflict_extra == 0
+
+    @pytest.mark.parametrize("kernel_idx,accesses,transactions",
+                             [(0, 800, 2442), (1, 2400, 7326)])
+    def test_replayed_access_stream_is_pinned(self, kernel_idx, accesses,
+                                              transactions, rng):
+        """The replayed warp accesses on the mixed-length batch of
+        ``test_sanitizer_clean_mixed_length_buckets`` match what the
+        per-row bucket loop issued: one dependency load and one store
+        per matrix, per row, per bucket."""
+        mp, vp = _profiles(45, seed=4)
+        prof, batched = ((mp, msv_batched_kernel),
+                         (vp, viterbi_batched_kernel))[kernel_idx]
+        lengths = [0, 1, 2, 7, 8, 9, 60, 61, 63, 64, 65, 240, 241, 400]
+        batch = _padded_batch(lengths, rng)
+        c = KernelCounters()
+        batched(prof, batch, counters=c, sanitize=True)
+        assert c.sanitizer.accesses == accesses
+        assert c.sanitizer.transactions == transactions
 
     @pytest.mark.parametrize("kernel_idx", [0, 1])
     def test_sanitizer_clean_across_retirement(self, kernel_idx, rng):
