@@ -36,8 +36,7 @@ Documented assumptions (see docs/static_analysis.md):
 * ``np.empty`` carriers are written before they are read (they are
   tagged with the empty interval); wide ``np.empty`` scratch is not a
   system carrier until written;
-* cross-module helper summaries (``parallel_lazy_f`` mutating its
-  first argument into i16 range, ``stripe_array``/``shfl_up`` hulling
+* cross-module helper summaries (``stripe_array``/``shfl_up`` hulling
   their fill value) match the helpers' own verified behaviour;
 * inlined intra-module callees are additionally analyzed standalone
   with parameter seeds that subsume every actual call.
@@ -1137,15 +1136,6 @@ class _Interp:
             )
         if tail in ("warp_max_shuffle", "warp_max_shared"):
             return replace(arg_val(0), native=None, tagged=None)
-        if tail in ("parallel_lazy_f", "prefix_scan_d_chain"):
-            out = mk(-32768, 32767)
-            if args and isinstance(args[0], ast.Name):
-                root = self._root(args[0].id)
-                base = self.env.get(root, TOP)
-                self.env[root] = replace(out, native=base.native, tagged=base.tagged)
-                if args[0].id != root:
-                    self.env[args[0].id] = self.env[root]
-            return out
         if tail == "conflict_free_lane_stride":
             return mk(1, INF)
         if tail == "packed_stream_bytes":

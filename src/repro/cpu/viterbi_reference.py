@@ -158,6 +158,8 @@ def viterbi_lockstep(
     profile: ViterbiWordProfile,
     batch: PaddedBatch | SequenceDatabase,
     guard: GuardrailCounters | None = None,
+    *,
+    observe=None,
 ) -> tuple[FilterScores, np.ndarray]:
     """The lockstep ViterbiFilter pass; returns scores and rows-run.
 
@@ -169,7 +171,11 @@ def viterbi_lockstep(
     length, or the rows up to and including its overflow row.
     ``guard.saturations`` counts M-row cells pinned at the i16 floor
     over the live prefix - the tally the batched kernel reports as
-    ``KernelCounters.saturations``.
+    ``KernelCounters.saturations``.  ``observe(Mv, Dv)``, when given, is
+    called once per row with the live prefix's Match row ``(p, M)`` and
+    Delete row at nodes ``1..M-1`` ``(p, M-1)``, lanes that overflow on
+    that row included; the per-warp kernel charges its Lazy-F votes
+    from them.
     """
     if isinstance(batch, SequenceDatabase):
         batch = batch.padded_batch()
@@ -235,6 +241,8 @@ def viterbi_lockstep(
             np.maximum.accumulate(h, axis=1, out=h)
             np.add(h[:, :-1], c_body, out=h[:, :-1])
             clip_i16(h[:, :-1], out=Dv)
+            if observe is not None:
+                observe(Mv, Dv)
 
             xE = Mv.max(axis=1)
             if guard is not None:

@@ -1,23 +1,23 @@
-"""Cross-sequence batched MSV and P7Viterbi kernels.
+"""Cross-sequence batched MSV and P7Viterbi kernels, and the lockstep
+launch every simulated kernel shares.
 
 The warp kernels in :mod:`repro.kernels.msv_warp` /
-:mod:`repro.kernels.viterbi_warp` score **one sequence per kernel
-invocation pattern**: a warp's 32 lanes sweep the model dimension, and
-the Python row loop runs once per residue of every sequence - 725k
-residues means 725k vectorized row steps.  That inverts the paper's
-Figure 1 profile (P7Viterbi at 58% of wall time instead of 14.5%)
-because the NumPy vector units idle across the warp dimension.
+:mod:`repro.kernels.viterbi_warp` model **one sequence per warp**: a
+warp's 32 lanes sweep the model dimension.  These kernels model
+batching *across sequences* instead (AnySeq/GPU-style cross-alignment
+batching): each lane owns one whole sequence and all lanes advance one
+residue per lockstep row.
 
-These kernels batch *across sequences* instead (AnySeq/GPU-style
-cross-alignment batching): each lane owns one whole sequence and all
-lanes advance one residue per lockstep row.  Execution is the lockstep
-pass the ``cpu_sse`` engine runs too
+Both families execute the same way, through :func:`lockstep_launch`:
+the lockstep pass the ``cpu_sse`` engine runs too
 (:func:`~repro.cpu.msv_reference.msv_lockstep`,
-:func:`~repro.cpu.viterbi_reference.viterbi_lockstep`): one row loop
+:func:`~repro.cpu.viterbi_reference.viterbi_lockstep`), one row loop
 per call over blocks of about a thousand length-sorted lanes, so the
-row loop runs ``max_len`` times per block, not per 32-lane bucket.
+row loop runs ``max_len`` times per block, not per warp or per 32-lane
+bucket.  Each kernel then charges its own simulated launch from the
+lanes' rows-run.
 
-What the kernels add is the simulated launch - the 32-lane warp
+What the batched kernels add is their launch - the 32-lane warp
 buckets a GPU would run - as accounting, observable through the
 counters:
 
@@ -72,6 +72,7 @@ from ..scoring.msv_profile import MSVByteProfile
 from ..scoring.vit_profile import ViterbiWordProfile
 from ..sequence.database import PaddedBatch, SequenceDatabase
 from .memconfig import MemoryConfig
+from .residue_stream import PackedResidueStream
 
 __all__ = [
     "LaneBucket",
@@ -216,11 +217,6 @@ def _account(
     identical for every warp and cell.
     """
     buckets = pack_length_buckets(batch.lengths, max_waste=max_waste)
-    if counters is not None:
-        counters.sequences += batch.n_seqs
-        counters.global_bytes += int(
-            sum(packed_stream_bytes(int(L)) for L in batch.lengths)
-        )
     rows = strips = 0
     for b in buckets:
         if counters is not None:
@@ -252,6 +248,41 @@ def _account(
             counters.shared_loads += strips * M  # emission fetch
         else:
             counters.global_bytes += rows * M  # emission fetch
+    attach_report(counters, san)
+
+
+def lockstep_launch(lockstep, profile, database, counters,
+                    packed_residues=False, observe=None):
+    """Score a simulated launch with the shared lockstep pass.
+
+    Returns the scores, the padded batch and each lane's rows-run, from
+    which the kernel charges its own event model.  Charges what every
+    launch shares: the sequences, their residues read at the packed
+    5-bit rate (paper Figure 6) and the pass's saturation tally.  With
+    ``packed_residues`` the residues are decoded from the packed word
+    stream, all rows in one call, into the codes the pass reads.
+    ``observe`` is the P7Viterbi pass's per-row hook.
+    """
+    source_db = database if isinstance(database, SequenceDatabase) else None
+    batch = database if source_db is None else database.padded_batch()
+    if packed_residues:
+        batch = PackedResidueStream(batch, source_db).decoded()
+    guard = None if counters is None else GuardrailCounters()
+    result, rows_run = (
+        lockstep(profile, batch, guard) if observe is None
+        else lockstep(profile, batch, guard, observe=observe)
+    )
+    if counters is not None:
+        counters.sequences += batch.n_seqs
+        counters.global_bytes += int(
+            sum(packed_stream_bytes(int(L)) for L in batch.lengths)
+        )
+        counters.saturations += guard.saturations
+    return result, batch, rows_run
+
+
+def attach_report(counters: KernelCounters | None, san) -> None:
+    """Attach a sanitized launch's report and its bank-conflict replays."""
     if san is not None and counters is not None:
         report = san.report()
         counters.attach_sanitizer(report)
@@ -265,14 +296,9 @@ def _run(lockstep, profile, database, config, counters, sanitize,
     ``layout`` is the kernel's ``(label, lane stride, cell bytes,
     matrices)`` for :func:`_account`.
     """
-    batch = database
-    if isinstance(database, SequenceDatabase):
-        batch = database.padded_batch()
     san = resolve_sanitizer(sanitize)
-    guard = None if counters is None else GuardrailCounters()
-    result, rows_run = lockstep(profile, batch, guard)
-    if guard is not None:
-        counters.saturations += guard.saturations
+    result, batch, rows_run = lockstep_launch(lockstep, profile, database,
+                                              counters)
     if counters is not None or san is not None:
         _account(counters, san, batch, rows_run, profile.M, config,
                  max_waste, *layout)

@@ -20,6 +20,12 @@ large fraction of rows has no profitable D-D transition at all, most
 windows converge after one vote - the reason Lazy-F beats both eager
 evaluation and prefix sums on on-chip resources (paper Section III.B),
 quantified by the ``abl-lazyf`` benchmark.
+
+:func:`parallel_lazy_f` is the executable form of the procedure.  The
+per-warp P7Viterbi kernel takes its exact Delete rows from the shared
+lockstep pass instead and charges the votes with :func:`lazy_f_tally`,
+the procedure's closed form (the argument is in its docstring, and
+``docs/engines.md``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from ..errors import KernelError
 from ..gpu.counters import KernelCounters
 from ..scoring.quantized import sat_add_i16
 
-__all__ = ["parallel_lazy_f"]
+__all__ = ["parallel_lazy_f", "lazy_f_tally"]
+
+_LANES_1 = np.arange(1, WARP_SIZE + 1, dtype=np.int8)  # lane + 1
 
 
 def parallel_lazy_f(
@@ -94,3 +102,47 @@ def parallel_lazy_f(
         # is real D-D propagation work
         counters.lazyf_extra_passes += max(0, total_votes - n * n_windows)
     return D
+
+
+def lazy_f_tally(
+    Mv: np.ndarray,
+    Dv: np.ndarray,
+    tmd: np.ndarray,
+    counters: KernelCounters,
+) -> None:
+    """Charge :func:`parallel_lazy_f`'s votes for one row, in closed form.
+
+    ``Mv`` is a batch of exact Match rows ``(p, M)`` and ``Dv`` their
+    exact Delete rows at nodes ``1..M-1`` ``(p, M-1)``.  A row enters
+    Lazy-F when some M->D start ``clip(Mv[j-1] + tmd[j-1])``, ``j >= 1``,
+    is above -32768 (the Dmax check).  Node ``j`` is *improved* when
+    ``Dv[j]`` exceeds its start.  The window's Jacobi fixed point gives
+    an improved node its exact value after exactly as many iterations as
+    there are consecutive improved nodes ending at it inside the window
+    (every shorter chain starts at an improved node, below that node's
+    exact value, so it ends strictly lower), and an unimproved node never
+    changes.  So a window takes 1 + its longest run of improved nodes
+    votes, and everything past the first vote is an extra pass.
+    """
+    n, M = Mv.shape
+    windows = -(-M // WARP_SIZE)
+    if M < 2:
+        return  # no Delete states: the Dmax check skips every row
+    starts = Mv[:, :-1] + tmd[:-1]
+    np.maximum(starts, VF_WORD_MIN, out=starts)
+    entered = int(np.count_nonzero(starts.max(axis=1) > VF_WORD_MIN))
+    if entered == 0:
+        return
+    # improved[r, j] with node j at column j (node 0 never improves),
+    # padded to whole windows.  In a window, the run ending at lane l is
+    # (l + 1) - (1 + the last unimproved lane at or before l, 0 if none),
+    # and the longest run is its maximum
+    improved = np.zeros((n * windows, WARP_SIZE), dtype=bool)
+    np.greater(Dv, starts, out=improved.reshape(n, -1)[:, 1:M])
+    last = np.maximum.accumulate(_LANES_1 * ~improved, axis=1)
+    extra = int((_LANES_1 - last).max(axis=1).sum())
+    votes = entered * windows + extra
+    counters.votes += votes
+    counters.lazyf_rows_checked += entered
+    counters.lazyf_passes += votes
+    counters.lazyf_extra_passes += extra

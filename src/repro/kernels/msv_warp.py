@@ -12,14 +12,22 @@ Section III.A are all present and observable through the counters:
   is read by the *next* strip as its lane-0 dependency but written by the
   *current* strip's store; the kernel therefore loads the next strip's 32
   dependency values into registers *before* storing - steps (1)-(4) in
-  Figure 5.  The simulation performs the loads and stores in that exact
-  order, so reordering them would corrupt real scores.
+  Figure 5.  That order is the access stream the warp-model sanitizer
+  replays for every row, and it flags a dependency load that follows
+  the store clobbering it.
 * **Shuffle reduction & residue packing.**  Per row, ``xE`` is reduced
   with the butterfly shuffle (Kepler) or the shared-memory tree (Fermi),
   and global residue traffic is charged at the packed 5-bit rate.
 
-Scores are bit-identical to :mod:`repro.cpu.msv_reference` - the paper's
-"preserving the sensitivity and accuracy of HMMER 3.0".
+Execution is the lockstep pass every filter engine shares
+(:func:`~repro.cpu.msv_reference.msv_lockstep`); the warps are the
+simulated launch, charged in closed form.  Warp ``s`` is live for
+``rows_run[s]`` rows (its length, or through its overflow row), and
+every live warp-row sweeps the same ``ceil(M/32)`` strips with the same
+loads, stores and one reduction, so every event tally is a multiple of
+``rows = sum(rows_run)``.  Scores are bit-identical to
+:mod:`repro.cpu.msv_reference` - the paper's "preserving the
+sensitivity and accuracy of HMMER 3.0".
 """
 
 from __future__ import annotations
@@ -27,23 +35,79 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.sanitizer import resolve_sanitizer
-from ..constants import MSV_BYTE_MAX, WARP_SIZE
+from ..constants import WARP_SIZE
+from ..cpu.msv_reference import msv_lockstep
+from ..cpu.results import FilterScores
 from ..gpu.counters import KernelCounters
 from ..gpu.device import KEPLER_K40, DeviceSpec
 from ..scoring.msv_profile import MSVByteProfile
-from ..scoring.quantized import sat_add_u8, sat_sub_u8
 from ..sequence.database import PaddedBatch, SequenceDatabase
-from ..alphabet.packing import packed_stream_bytes
-from ..cpu.results import FilterScores
+from .batched import attach_report, lockstep_launch
 from .memconfig import MemoryConfig
 from .reduction import warp_max_shared, warp_max_shuffle
 
 __all__ = ["msv_warp_kernel"]
 
 
-def _strip_bounds(M: int) -> list[tuple[int, int]]:
+def strip_bounds(M: int) -> list[tuple[int, int]]:
     """(start, end) model-position ranges of each 32-wide strip."""
     return [(p0, min(p0 + WARP_SIZE, M)) for p0 in range(0, M, WARP_SIZE)]
+
+
+def charge_sweep(counters: KernelCounters, rows: int, M: int,
+                 config: MemoryConfig, device: DeviceSpec, matrices: int,
+                 fetches: int, fetch_bytes: int, reductions: int) -> None:
+    """Charge ``rows`` live warp-rows of the strip sweep.
+
+    Per strip a warp loads and stores one coalesced, conflict-free
+    transaction per DP ``matrices`` row and fetches its ``fetches``
+    parameter rows from shared memory (or ``fetch_bytes`` per cell from
+    global memory); per row it runs ``reductions`` warp max-reductions.
+    """
+    strips = rows * -(-M // WARP_SIZE)
+    counters.rows += rows
+    counters.strips += strips
+    counters.cells += rows * M
+    counters.shared_loads += matrices * strips
+    counters.shared_stores += matrices * strips
+    if config is MemoryConfig.SHARED:
+        counters.shared_loads += fetches * strips
+    else:
+        counters.global_bytes += fetch_bytes * rows * M
+    one = KernelCounters()  # one warp's reduction on this device
+    reduce = warp_max_shuffle if device.has_warp_shuffle else warp_max_shared
+    reduce(np.zeros((1, WARP_SIZE), dtype=np.int32), one)
+    counters.shuffles += reductions * rows * one.shuffles
+    counters.shared_loads += reductions * rows * one.shared_loads
+    counters.shared_stores += reductions * rows * one.shared_stores
+
+
+def replay_sweep(san, counters: KernelCounters | None, label: str,
+                 rows_run: np.ndarray, script) -> None:
+    """Replay a row sweep's access ``script`` once per lockstep row.
+
+    The access pattern is identical for every warp and row, so each
+    simulated warp-wide access is recorded once per row, for as many
+    rows as the longest-running warp: ``script`` holds ``(hook, *args)``
+    entries for the sanitizer's access and reduction-check hooks.
+    """
+    for i in range(int(rows_run.max(initial=0))):
+        san.begin_row(f"{label}:row{i}")
+        for hook, *args in script:
+            hook(*args)
+    attach_report(counters, san)
+
+
+def reduction_input(neutral: int) -> np.ndarray:
+    """The replayed input of one row-max reduction.
+
+    Lane ``l`` folds in cells ``l, l + 32, ...``.  The check reads only
+    the lanes past the model edge, which hold no cell and keep the
+    max-neutral they start from; the butterfly needs that or it mixes
+    garbage into the result.  The lanes holding cells are not read, so
+    the neutral stands in for them as well.
+    """
+    return np.full((1, WARP_SIZE), neutral, dtype=np.int32)
 
 
 def msv_warp_kernel(
@@ -57,10 +121,10 @@ def msv_warp_kernel(
 ) -> FilterScores:
     """Score a database with the warp-synchronous MSV kernel.
 
-    Every sequence is assigned to one (simulated) warp; all warps run in
-    lockstep over the padded row count, masking warps whose sequence has
-    ended - functionally equivalent to the paper's dynamic scheme where a
-    finished warp grabs the next sequence.
+    Every sequence is assigned to one (simulated) warp; a warp retires
+    after its last residue or its overflow row - functionally equivalent
+    to the paper's dynamic scheme where a finished warp grabs the next
+    sequence.
 
     Parameters
     ----------
@@ -70,8 +134,8 @@ def msv_warp_kernel(
     counters:
         Optional event tally; pass a fresh :class:`KernelCounters`.
     packed_residues:
-        Decode each row's residue from the 5-bit packed word stream
-        (paper Figure 6) instead of the padded byte matrix.  Scores are
+        Decode the residues from the 5-bit packed word stream (paper
+        Figure 6) instead of the padded byte matrix.  Scores are
         identical (tested); this exercises the packed layout end to end,
         including the terminator-flag handling.
     sanitize:
@@ -80,141 +144,30 @@ def msv_warp_kernel(
         resulting :class:`~repro.analysis.sanitizer.SanitizerReport` is
         attached to ``counters.sanitizer``.
     """
-    if isinstance(database, SequenceDatabase):
-        lengths = np.asarray(database.lengths)
-        batch = database.padded_batch()
-        source_db = database
-    else:
-        batch = database
-        lengths = batch.lengths
-        source_db = None
-    n = batch.n_seqs
-    M = profile.M
-    strips = _strip_bounds(M)
-    # the access pattern is identical for every warp, so the sanitizer
-    # records each simulated warp-wide access once per row sweep; the
-    # MSV row is one byte per cell (u8 scores), so cell j lives at
-    # shared-memory byte offset j
     san = resolve_sanitizer(sanitize)
-
-    stream = None
-    if packed_residues:
-        from .residue_stream import PackedResidueStream
-
-        stream = PackedResidueStream(batch, source_db)
-
-    # shared memory: one DP byte row per warp, cell j+1 = node j, cell 0
-    # is the permanent minus-infinity boundary
-    share_mem = np.zeros((n, M + 1), dtype=np.int32)
-    xJ = np.zeros(n, dtype=np.int32)
-    xB = np.full(n, profile.init_xB, dtype=np.int32)
-    overflowed = np.zeros(n, dtype=bool)
-
+    result, _, rows_run = lockstep_launch(
+        msv_lockstep, profile, database, counters, packed_residues
+    )
+    M = profile.M
     if counters is not None:
-        counters.sequences += n
-        counters.global_bytes += int(
-            sum(packed_stream_bytes(int(L)) for L in lengths)
-        )
-
-    max_len = int(lengths.max())
-    for i in range(max_len):
-        active = lengths > i
-        live = active & ~overflowed
-        if not live.any():
-            break
-        if stream is not None:
-            codes = stream.codes_at(i, active)  # Figure 6 decode
-        else:
-            codes = np.where(active, batch.codes[:, i], 0).astype(np.intp)
-        rbv = profile.rbv[codes]  # emission row of this residue, (n, M)
-        xBv = np.maximum(0, xB - profile.tbm)
-        xE_lanes = np.zeros((n, WARP_SIZE), dtype=np.int32)
-
-        # Load(mmx): first 32 dependency values from shared memory
-        mmx = share_mem[:, 0 : min(WARP_SIZE, M)].copy()
-        if san is not None:
-            san.begin_row(f"msv:row{i}")
-            san.shared_load(
-                range(0, min(WARP_SIZE, M)), "msv:dep-load:strip0",
-                dependency=True,
-            )
+        charge_sweep(counters, int(rows_run.sum()), M, config, device,
+                     matrices=1, fetches=1, fetch_bytes=1, reductions=1)
+    if san is not None:
+        # the MSV row is one byte per cell (u8 scores): cell j lives at
+        # shared-memory byte j, cell 0 the permanent minus infinity
+        strips = strip_bounds(M)
+        script = [(san.shared_load, range(*strips[0]), "msv:dep-load:strip0",
+                   True)]
         for s, (p0, p1) in enumerate(strips):
-            w = p1 - p0
-            temp = np.maximum(mmx[:, :w], xBv[:, None])
-            temp = sat_add_u8(temp, profile.bias)
-            if counters is not None:
-                # guardrail: cells at the u8 ceiling after the biased
-                # add - matches the reference engine's guard tally
-                counters.saturations += int(
-                    np.count_nonzero(temp[live] == MSV_BYTE_MAX)
-                )
-            temp = sat_sub_u8(temp, rbv[:, p0:p1])
-            xE_lanes[:, :w] = np.maximum(xE_lanes[:, :w], temp)
-            # Load(mmx) for the NEXT strip *before* the store below
-            # overwrites cell p0+32 (= next strip's lane-0 dependency):
-            # the double-buffering of Figure 5.
             if s + 1 < len(strips):
+                # the next strip's dependencies, loaded before this
+                # strip's store overwrites cell p1 (Figure 5)
                 q0, q1 = strips[s + 1]
-                mmx = share_mem[:, q0:q1].copy()
-                if san is not None:
-                    san.shared_load(
-                        range(q0, q1), f"msv:dep-load:strip{s + 1}",
-                        dependency=True,
-                    )
-            share_mem[:, p0 + 1 : p1 + 1] = np.where(
-                live[:, None], temp, share_mem[:, p0 + 1 : p1 + 1]
-            )
-            if san is not None:
-                san.shared_store(range(p0 + 1, p1 + 1), f"msv:store:strip{s}")
-            if counters is not None:
-                n_live = int(live.sum())
-                counters.strips += n_live
-                counters.cells += n_live * w
-                counters.shared_loads += n_live  # dependency load (coalesced)
-                counters.shared_stores += n_live  # row store (conflict-free)
-                if config is MemoryConfig.SHARED:
-                    counters.shared_loads += n_live  # emission fetch
-                else:
-                    counters.global_bytes += n_live * w  # emission fetch
-
-        # warp-level max reduction of the per-lane xE partials; events are
-        # charged per *live* warp (finished warps are not executing)
-        n_live = int(live.sum())
-        live_counters = KernelCounters() if counters is not None else None
-        if san is not None:
-            # lanes past the model edge must hold the max-neutral 0, or
-            # the butterfly shuffle would mix garbage into xE
-            san.check_reduction(
-                xE_lanes, min(M, WARP_SIZE), 0, "msv:xE-reduce"
-            )
-        if device.has_warp_shuffle:
-            xE = warp_max_shuffle(xE_lanes, None)[:, 0]
-            if live_counters is not None:
-                warp_max_shuffle(xE_lanes[:1], live_counters)
-        else:
-            xE = warp_max_shared(xE_lanes, None)[:, 0]
-            if live_counters is not None:
-                warp_max_shared(xE_lanes[:1], live_counters)
-        if counters is not None and live_counters is not None:
-            counters.shuffles += live_counters.shuffles * n_live
-            counters.shared_loads += live_counters.shared_loads * n_live
-            counters.shared_stores += live_counters.shared_stores * n_live
-            counters.rows += n_live
-
-        overflow_now = live & (xE >= profile.overflow_threshold)
-        overflowed |= overflow_now
-        update = live & ~overflow_now
-        xJ[update] = np.maximum(xJ[update], np.maximum(0, xE[update] - profile.tec))
-        xB[update] = np.maximum(
-            0, np.maximum(profile.base, xJ[update]) - profile.tjb
-        )
-
-    if san is not None and counters is not None:
-        report = san.report()
-        counters.attach_sanitizer(report)
-        counters.bank_conflict_extra += report.conflict_extra
-
-    scores = ((xJ - profile.tjb) - profile.base) / profile.scale - 3.0
-    scores = scores.astype(np.float64)
-    scores[overflowed] = float("inf")
-    return FilterScores(scores=scores, overflowed=overflowed)
+                script.append((san.shared_load, range(q0, q1),
+                               f"msv:dep-load:strip{s + 1}", True))
+            script.append((san.shared_store, range(p0 + 1, p1 + 1),
+                           f"msv:store:strip{s}"))
+        script.append((san.check_reduction, reduction_input(0),
+                       min(M, WARP_SIZE), 0, "msv:xE-reduce"))
+        replay_sweep(san, counters, "msv", rows_run, script)
+    return result

@@ -9,11 +9,16 @@ the block needs **two barriers per row** - one after all warps have read
 their dependencies, one after all have written - plus further barriers
 inside the block-scope tree reduction that computes ``xE``.
 
-Functionally the scores are identical to the warp-synchronous kernel
-(both match the reference bit-for-bit); what differs is the event stream:
-this kernel issues ``(2 + 5) * rows`` barriers whose cost, together with
-the idle time of warps waiting at them, is what the timing model charges
-in the ``abl-sync`` benchmark.
+Functionally the scores are identical to the warp-synchronous kernel:
+both score through the shared lockstep pass
+(:func:`~repro.cpu.msv_reference.msv_lockstep`).  What differs is the
+event stream, charged in closed form per live block-row on top of what
+every simulated launch charges (sequences, packed residue bytes,
+saturations): this kernel issues ``(2 + 5) * rows`` barriers, with
+``rows`` the block-rows run (each block stops after its last residue or
+its overflow row), whose cost, together with the idle time of warps
+waiting at them, is what the timing model charges in the ``abl-sync``
+benchmark.
 """
 
 from __future__ import annotations
@@ -21,13 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import WARP_SIZE
+from ..cpu.msv_reference import msv_lockstep
+from ..cpu.results import FilterScores
 from ..gpu.counters import KernelCounters
 from ..gpu.device import KEPLER_K40, DeviceSpec
 from ..scoring.msv_profile import MSVByteProfile
-from ..scoring.quantized import sat_add_u8, sat_sub_u8
 from ..sequence.database import PaddedBatch, SequenceDatabase
-from ..alphabet.packing import packed_stream_bytes
-from ..cpu.results import FilterScores
+from .batched import lockstep_launch
 from .reduction import warp_max_shared
 
 __all__ = ["msv_multiwarp_sync_kernel", "SYNCS_PER_ROW"]
@@ -45,74 +50,23 @@ def msv_multiwarp_sync_kernel(
     """Score a database with the synchronized multi-warp MSV baseline.
 
     One block processes one sequence; all warps of the block sweep a row
-    together between barriers.  The simulation performs the
-    read-everything / barrier / write-everything schedule literally.
+    together between barriers: every warp reads its dependencies and
+    the emission row, a barrier, every warp writes its cells, a
+    barrier, then the block-scope tree reduction of the per-warp
+    partial maxima.
     """
-    if isinstance(database, SequenceDatabase):
-        lengths = np.asarray(database.lengths)
-        batch = database.padded_batch()
-    else:
-        batch = database
-        lengths = batch.lengths
-    n = batch.n_seqs
-    M = profile.M
-    warps_per_row = -(-M // WARP_SIZE)
-
-    share_mem = np.zeros((n, M + 1), dtype=np.int32)
-    xJ = np.zeros(n, dtype=np.int32)
-    xB = np.full(n, profile.init_xB, dtype=np.int32)
-    overflowed = np.zeros(n, dtype=bool)
-
+    result, _, rows_run = lockstep_launch(msv_lockstep, profile, database,
+                                          counters)
     if counters is not None:
-        counters.sequences += n
-        counters.global_bytes += int(
-            sum(packed_stream_bytes(int(L)) for L in lengths)
-        )
-
-    max_len = int(lengths.max())
-    for i in range(max_len):
-        active = lengths > i
-        live = active & ~overflowed
-        if not live.any():
-            break
-        codes = np.where(active, batch.codes[:, i], 0).astype(np.intp)
-        rbv = profile.rbv[codes]
-        xBv = np.maximum(0, xB - profile.tbm)
-
-        # phase 1: every warp reads its dependencies ... then a barrier
-        deps = share_mem[:, :M].copy()
-        # phase 2: compute and write back ... then a barrier
-        sv = np.maximum(deps, xBv[:, None])
-        sv = sat_add_u8(sv, profile.bias)
-        sv = sat_sub_u8(sv, rbv)
-        share_mem[:, 1:] = np.where(live[:, None], sv, share_mem[:, 1:])
-        # phase 3: block-scope tree reduction over per-warp partial maxima
-        pad = warps_per_row * WARP_SIZE - M
-        lanes = np.pad(sv, ((0, 0), (0, pad))).reshape(n, warps_per_row, WARP_SIZE)
-        partial = lanes.max(axis=1)  # per-lane max across warps (via smem)
-        xE_b = warp_max_shared(partial, counters, block_scope=True)[:, 0]
-        xE = np.asarray(xE_b, dtype=np.int64)
-
-        if counters is not None:
-            n_live = int(live.sum())
-            counters.rows += n_live
-            counters.strips += n_live * warps_per_row
-            counters.cells += n_live * M
-            counters.shared_loads += n_live * warps_per_row * 2
-            counters.shared_stores += n_live * warps_per_row
-            counters.syncthreads += 2 * n_live  # read + write barriers
-
-        overflow_now = live & (xE >= profile.overflow_threshold)
-        overflowed |= overflow_now
-        update = live & ~overflow_now
-        xJ[update] = np.maximum(
-            xJ[update], np.maximum(0, (xE[update] - profile.tec).astype(np.int32))
-        )
-        xB[update] = np.maximum(
-            0, np.maximum(profile.base, xJ[update]) - profile.tjb
-        )
-
-    scores = ((xJ - profile.tjb) - profile.base) / profile.scale - 3.0
-    scores = scores.astype(np.float64)
-    scores[overflowed] = float("inf")
-    return FilterScores(scores=scores, overflowed=overflowed)
+        rows = int(rows_run.sum())
+        warps = -(-profile.M // WARP_SIZE)
+        tree = KernelCounters()  # one block-scope reduction
+        warp_max_shared(np.zeros((1, WARP_SIZE), dtype=np.int32), tree,
+                        block_scope=True)
+        counters.rows += rows
+        counters.strips += rows * warps
+        counters.cells += rows * profile.M
+        counters.shared_loads += rows * (2 * warps + tree.shared_loads)
+        counters.shared_stores += rows * (warps + tree.shared_stores)
+        counters.syncthreads += SYNCS_PER_ROW * rows
+    return result

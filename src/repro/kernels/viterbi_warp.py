@@ -14,32 +14,35 @@ double-buffered strip boundaries, shuffle reduction), extended with
 The M and I rows are updated in place in (simulated) shared memory with
 the same load-before-store double buffering as the MSV kernel - both the
 diagonal (node ``j-1``) and same-position dependencies of the next strip
-are staged in registers before the store.  The previous row's Delete
-values are kept in a separate buffer here; real hardware double-buffers
-them in place (Algorithm 2 loads ``mmx, imx, dmx`` together), which the
-counters charge identically.
+are staged in registers before the store; the D row writes back strip by
+strip after the Lazy-F resolution.  That order is the access stream the
+warp-model sanitizer replays for every row.
 
-Scores are bit-identical to :mod:`repro.cpu.viterbi_reference` (tested),
-i.e. the Lazy-F shortcut and the row-level Dmax skip never change a
-score.
+Execution is the lockstep pass every filter engine shares
+(:func:`~repro.cpu.viterbi_reference.viterbi_lockstep`), so scores are
+bit-identical to :mod:`repro.cpu.viterbi_reference`.  The warps are the
+simulated launch, charged in closed form from each warp's rows-run like
+the MSV kernel, with two reductions (xE and Dmax) per row.  The Lazy-F
+tallies depend on the data: the pass shows every row's exact Match and
+Delete values to :func:`~repro.kernels.lazy_f.lazy_f_tally`, which
+counts the votes :func:`~repro.kernels.lazy_f.parallel_lazy_f` would
+cast on that row.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..analysis.sanitizer import resolve_sanitizer
 from ..constants import VF_WORD_MIN, WARP_SIZE
+from ..cpu.results import FilterScores
+from ..cpu.viterbi_reference import viterbi_lockstep
 from ..gpu.counters import KernelCounters
 from ..gpu.device import KEPLER_K40, DeviceSpec
-from ..scoring.quantized import sat_add_i16
 from ..scoring.vit_profile import ViterbiWordProfile
 from ..sequence.database import PaddedBatch, SequenceDatabase
-from ..alphabet.packing import packed_stream_bytes
-from ..cpu.results import FilterScores
-from .lazy_f import parallel_lazy_f
+from .batched import lockstep_launch
+from .lazy_f import lazy_f_tally
 from .memconfig import MemoryConfig
-from .reduction import warp_max_shared, warp_max_shuffle
+from .msv_warp import charge_sweep, reduction_input, replay_sweep, strip_bounds
 
 __all__ = ["viterbi_warp_kernel"]
 
@@ -61,221 +64,60 @@ def viterbi_warp_kernel(
     ``REPRO_SANITIZE`` environment variable); the report is attached to
     ``counters.sanitizer``.
     """
-    source_db = database if isinstance(database, SequenceDatabase) else None
-    if isinstance(database, SequenceDatabase):
-        lengths = np.asarray(database.lengths)
-        batch = database.padded_batch()
-    else:
-        batch = database
-        lengths = batch.lengths
-    stream = None
-    if packed_residues:
-        from .residue_stream import PackedResidueStream
-
-        stream = PackedResidueStream(batch, source_db)
-    n = batch.n_seqs
-    M = profile.M
-    strips = [(p0, min(p0 + WARP_SIZE, M)) for p0 in range(0, M, WARP_SIZE)]
-
-    # warp-model sanitizer: the Viterbi rows are i16 (2 bytes per cell);
-    # the three DP buffers occupy disjoint shared-memory ranges so the
-    # hazard tracker sees them as distinct cells.  cell c of mmx lives at
-    # byte 2c, imx at _IMX_BASE + 2c, dmx at _DMX_BASE + 2c.
     san = resolve_sanitizer(sanitize)
-    row_bytes = 2 * (M + 1)
-    _IMX_BASE = row_bytes
-    _DMX_BASE = 2 * row_bytes
-
-    def _bytes(base: int, lo: int, hi: int) -> range:
-        return range(base + 2 * lo, base + 2 * hi, 2)
-
-    # tDD cost entering node j, for the Lazy-F chain
-    tdd_enter = np.concatenate(([VF_WORD_MIN], profile.tdd[:-1])).astype(np.int32)
-
-    # shared-memory DP rows: index j+1 = node j for M and I (cell 0 is a
-    # permanent minus infinity); D is indexed by node directly
-    mmx = np.full((n, M + 1), VF_WORD_MIN, dtype=np.int32)
-    imx = mmx.copy()
-    dmx = np.full((n, M), VF_WORD_MIN, dtype=np.int32)
-    xJ = np.full(n, VF_WORD_MIN, dtype=np.int64)
-    xC = xJ.copy()
-    xB = np.full(n, profile.init_xB, dtype=np.int64)
-    overflowed = np.zeros(n, dtype=bool)
-
+    M = profile.M
+    observe = None
     if counters is not None:
-        counters.sequences += n
-        counters.global_bytes += int(
-            sum(packed_stream_bytes(int(L)) for L in lengths)
-        )
+        def observe(Mv, Dv):
+            lazy_f_tally(Mv, Dv, profile.tmd, counters)
+    result, _, rows_run = lockstep_launch(
+        viterbi_lockstep, profile, database, counters, packed_residues,
+        observe,
+    )
+    if counters is not None:
+        # M/I/D dependency loads and row stores, emission + transition
+        # fetches, and the xE and Dmax reductions
+        charge_sweep(counters, int(rows_run.sum()), M, config, device,
+                     matrices=3, fetches=2, fetch_bytes=4, reductions=2)
+    if san is not None:
+        # i16 rows, 2 bytes per cell; the three DP buffers occupy
+        # disjoint shared-memory ranges so the hazard tracker sees them
+        # as distinct cells: cell c of mmx at byte 2c, imx at
+        # row + 2c, dmx at 2 row + 2c
+        row = 2 * (M + 1)
 
-    neg_col = np.full((n, 1), VF_WORD_MIN, dtype=np.int32)
-    max_len = int(lengths.max())
-    for i in range(max_len):
-        active = lengths > i
-        live = active & ~overflowed
-        if not live.any():
-            break
-        if stream is not None:
-            codes = stream.codes_at(i, active)  # Figure 6 decode
-        else:
-            codes = np.where(active, batch.codes[:, i], 0).astype(np.intp)
-        rwv = profile.rwv[codes]  # (n, M)
-        xBv = sat_add_i16(xB, profile.tbm).astype(np.int32)
+        def cells(base, lo, hi):
+            return range(base + 2 * lo, base + 2 * hi, 2)
 
-        new_m = np.empty((n, M), dtype=np.int32)
-        xE_lanes = np.full((n, WARP_SIZE), VF_WORD_MIN, dtype=np.int32)
-        dmax_lanes = np.full((n, WARP_SIZE), VF_WORD_MIN, dtype=np.int32)
+        def load(name, s, base, lo, hi):
+            return (san.shared_load, cells(base, lo, hi),
+                    f"vit:{name}:strip{s}", True)
 
-        # Load(mmx, imx, dmx): first 32 diagonal deps (prev row, node j-1)
-        first = min(WARP_SIZE, M)
-        mpv = mmx[:, 0:first].copy()
-        ipv = imx[:, 0:first].copy()
-        dpv = np.concatenate([neg_col, dmx[:, : first - 1]], axis=1)
-        if san is not None:
-            san.begin_row(f"vit:row{i}")
-            san.shared_load(_bytes(0, 0, first), "vit:mpv:strip0",
-                            dependency=True)
-            san.shared_load(_bytes(_IMX_BASE, 0, first), "vit:ipv:strip0",
-                            dependency=True)
-            san.shared_load(_bytes(_DMX_BASE, 0, first - 1),
-                            "vit:dpv:strip0", dependency=True)
-
+        strips = strip_bounds(M)
+        first = strips[0][1]
+        script = [load("mpv", 0, 0, 0, first), load("ipv", 0, row, 0, first),
+                  load("dpv", 0, 2 * row, 0, first - 1)]
         for s, (p0, p1) in enumerate(strips):
-            w = p1 - p0
-            # same-position prev-row values for the I update, read before
-            # this strip's store overwrites them (double buffering)
-            m_same = mmx[:, p0 + 1 : p1 + 1].copy()
-            i_same = imx[:, p0 + 1 : p1 + 1].copy()
-            if san is not None:
-                san.shared_load(_bytes(0, p0 + 1, p1 + 1),
-                                f"vit:m-same:strip{s}", dependency=True)
-                san.shared_load(_bytes(_IMX_BASE, p0 + 1, p1 + 1),
-                                f"vit:i-same:strip{s}", dependency=True)
-
-            sv = np.maximum(
-                xBv[:, None], sat_add_i16(mpv[:, :w], profile.enter_mm[p0:p1])
-            )
-            sv = np.maximum(sv, sat_add_i16(ipv[:, :w], profile.enter_im[p0:p1]))
-            sv = np.maximum(sv, sat_add_i16(dpv[:, :w], profile.enter_dm[p0:p1]))
-            temp_m = sat_add_i16(sv, rwv[:, p0:p1]).astype(np.int32)
-            if counters is not None:
-                # guardrail: M cells pinned at the i16 floor (-inf) -
-                # matches the reference engine's guard tally
-                counters.saturations += int(
-                    np.count_nonzero(temp_m[live] == VF_WORD_MIN)
-                )
-            temp_i = np.maximum(
-                sat_add_i16(m_same, profile.tmi[p0:p1]),
-                sat_add_i16(i_same, profile.tii[p0:p1]),
-            ).astype(np.int32)
-            temp_d = sat_add_i16(temp_m, profile.tmd[p0:p1]).astype(np.int32)
-
-            xE_lanes[:, :w] = np.maximum(xE_lanes[:, :w], temp_m)
-            dmax_lanes[:, :w] = np.maximum(dmax_lanes[:, :w], temp_d)
-
-            # double buffering: load the next strip's diagonal deps
-            # before the in-place store clobbers cell p1
+            # same-position previous-row values for the I update, read
+            # before this strip's store overwrites them
+            script += [load("m-same", s, 0, p0 + 1, p1 + 1),
+                       load("i-same", s, row, p0 + 1, p1 + 1)]
             if s + 1 < len(strips):
+                # the next strip's diagonal dependencies, before the
+                # in-place store clobbers cell p1
                 q0, q1 = strips[s + 1]
-                mpv = mmx[:, q0:q1].copy()
-                ipv = imx[:, q0:q1].copy()
-                dpv = dmx[:, q0 - 1 : q1 - 1].copy()
-                if san is not None:
-                    san.shared_load(_bytes(0, q0, q1),
-                                    f"vit:mpv:strip{s + 1}", dependency=True)
-                    san.shared_load(_bytes(_IMX_BASE, q0, q1),
-                                    f"vit:ipv:strip{s + 1}", dependency=True)
-                    san.shared_load(_bytes(_DMX_BASE, q0 - 1, q1 - 1),
-                                    f"vit:dpv:strip{s + 1}", dependency=True)
-
-            upd = live[:, None]
-            mmx[:, p0 + 1 : p1 + 1] = np.where(upd, temp_m, mmx[:, p0 + 1 : p1 + 1])
-            imx[:, p0 + 1 : p1 + 1] = np.where(upd, temp_i, imx[:, p0 + 1 : p1 + 1])
-            if san is not None:
-                san.shared_store(_bytes(0, p0 + 1, p1 + 1),
-                                 f"vit:m-store:strip{s}")
-                san.shared_store(_bytes(_IMX_BASE, p0 + 1, p1 + 1),
-                                 f"vit:i-store:strip{s}")
-            new_m[:, p0:p1] = temp_m
-            if counters is not None:
-                n_live = int(live.sum())
-                counters.strips += n_live
-                counters.cells += n_live * w
-                counters.shared_loads += 3 * n_live   # mmx/imx/dmx deps
-                counters.shared_stores += 3 * n_live  # row stores
-                if config is MemoryConfig.SHARED:
-                    counters.shared_loads += 2 * n_live  # emissions+transitions
-                else:
-                    counters.global_bytes += n_live * w * 4
-
-        # xE and Dmax reductions (shuffle on Kepler, shared tree on Fermi);
-        # events charged per *live* warp (finished warps are not executing)
-        n_live = int(live.sum())
-        live_counters = KernelCounters() if counters is not None else None
-        if san is not None:
-            # lanes past the model edge must hold the Viterbi -inf word,
-            # the neutral of the max reduction
-            san.check_reduction(
-                xE_lanes, min(M, WARP_SIZE), VF_WORD_MIN, "vit:xE-reduce"
-            )
-            san.check_reduction(
-                dmax_lanes, min(M, WARP_SIZE), VF_WORD_MIN, "vit:dmax-reduce"
-            )
-        if device.has_warp_shuffle:
-            xE = warp_max_shuffle(xE_lanes, None)[:, 0]
-            dmax = warp_max_shuffle(dmax_lanes, None)[:, 0]
-            if live_counters is not None:
-                warp_max_shuffle(xE_lanes[:1], live_counters)
-        else:
-            xE = warp_max_shared(xE_lanes, None)[:, 0]
-            dmax = warp_max_shared(dmax_lanes, None)[:, 0]
-            if live_counters is not None:
-                warp_max_shared(xE_lanes[:1], live_counters)
-        if counters is not None and live_counters is not None:
-            # both xE and Dmax reduce: charge the per-warp events twice
-            counters.shuffles += 2 * live_counters.shuffles * n_live
-            counters.shared_loads += 2 * live_counters.shared_loads * n_live
-            counters.shared_stores += 2 * live_counters.shared_stores * n_live
-            counters.rows += n_live
-
-        # partial D row: M->D contribution arriving at node j
-        d_partial = np.concatenate(
-            [neg_col, sat_add_i16(new_m[:, :-1], profile.tmd[:-1]).astype(np.int32)],
-            axis=1,
-        )
-        # Dmax check: rows with no finite M->D contribution arriving at
-        # any node cannot have any D-D improvement either; skip Lazy-F
-        # (the final node's M->D leads nowhere and is excluded)
-        needs_lazyf = live & (d_partial.max(axis=1) > VF_WORD_MIN)
-        if needs_lazyf.any():
-            resolved = d_partial[needs_lazyf]
-            parallel_lazy_f(resolved, tdd_enter, counters)
-            d_partial[needs_lazyf] = resolved
-        dmx = np.where(live[:, None], d_partial, dmx)
-        if san is not None:
-            # the D row writes back strip by strip, like the M/I stores
-            for s, (p0, p1) in enumerate(strips):
-                san.shared_store(_bytes(_DMX_BASE, p0, p1),
-                                 f"vit:d-store:strip{s}")
-
-        overflow_now = live & (xE >= profile.overflow_threshold)
-        overflowed |= overflow_now
-        update = live & ~overflow_now
-        xC[update] = np.maximum(xC[update], xE[update] + profile.xE_move)
-        xJ[update] = np.maximum(xJ[update], xE[update] + profile.xE_loop)
-        xB[update] = np.maximum(
-            profile.base + profile.xNJ_move, xJ[update] + profile.xNJ_move
-        )
-
-    if san is not None and counters is not None:
-        report = san.report()
-        counters.attach_sanitizer(report)
-        counters.bank_conflict_extra += report.conflict_extra
-
-    scores = np.where(
-        xC == VF_WORD_MIN,
-        float("-inf"),
-        (xC + profile.xNJ_move - profile.base) / profile.scale - 2.0,
-    ).astype(np.float64)
-    scores[overflowed] = float("inf")
-    return FilterScores(scores=scores, overflowed=overflowed)
+                script += [load("mpv", s + 1, 0, q0, q1),
+                           load("ipv", s + 1, row, q0, q1),
+                           load("dpv", s + 1, 2 * row, q0 - 1, q1 - 1)]
+            script += [(san.shared_store, cells(0, p0 + 1, p1 + 1),
+                        f"vit:m-store:strip{s}"),
+                       (san.shared_store, cells(row, p0 + 1, p1 + 1),
+                        f"vit:i-store:strip{s}")]
+        lanes = reduction_input(VF_WORD_MIN)
+        script += [(san.check_reduction, lanes, min(M, WARP_SIZE),
+                    VF_WORD_MIN, f"vit:{name}-reduce") for name in ("xE", "dmax")]
+        script += [(san.shared_store, cells(2 * row, p0, p1),
+                    f"vit:d-store:strip{s}")
+                   for s, (p0, p1) in enumerate(strips)]
+        replay_sweep(san, counters, "vit", rows_run, script)
+    return result

@@ -53,9 +53,19 @@ class TestSynchronizationCost:
         prof, db = _setup()
         c = KernelCounters()
         msv_multiwarp_sync_kernel(prof, db, counters=c)
-        # 2 data barriers per live row plus 5 reduction barriers per row
-        assert c.syncthreads >= 2 * db.total_residues
-        assert c.syncthreads <= SYNCS_PER_ROW * db.total_residues
+        # 2 data barriers plus 5 reduction barriers per live block-row
+        assert c.rows == db.total_residues
+        assert c.syncthreads == SYNCS_PER_ROW * db.total_residues
+
+    def test_reduction_traffic_is_per_live_block_row(self):
+        """A finished block runs no reduction: its tree's 6 loads and 6
+        stores are charged only while the block has rows left."""
+        prof, db = _setup()
+        c = KernelCounters()
+        msv_multiwarp_sync_kernel(prof, db, counters=c)
+        warps = -(-prof.M // 32)
+        assert c.shared_loads == c.rows * (2 * warps + 6)
+        assert c.shared_stores == c.rows * (warps + 6)
 
     def test_warp_synchronous_design_eliminates_all_barriers(self):
         """The paper's core structural claim, as a direct comparison."""
