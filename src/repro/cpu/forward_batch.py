@@ -27,7 +27,7 @@ import numpy as np
 from ..hmm.profile import SearchProfile
 from ..scoring.guardrails import GuardrailCounters
 from ..sequence.database import PaddedBatch, SequenceDatabase
-from .generic import GenericProfile, _forward_segments
+from .generic import GenericProfile, _coerce, _forward_segments
 
 __all__ = ["forward_score_batch"]
 
@@ -78,11 +78,7 @@ def forward_score_batch(
     non-finite score here means numerical trouble (or a sequence no path
     can emit, which scores -inf), not a valid result.
     """
-    gp = (
-        GenericProfile.from_profile(profile)
-        if isinstance(profile, SearchProfile)
-        else profile
-    )
+    gp = _coerce(profile)
     if isinstance(batch, SequenceDatabase):
         batch = batch.padded_batch()
     n, M = batch.n_seqs, gp.M

@@ -7,22 +7,30 @@ and the oracle for the batched odds-space Forward
 recurrence uses the same node convention as the word profile:
 ``enter_*[j]`` is the cost of reaching node ``j`` from node ``j-1``.
 
-The within-row Delete chain (max-plus for Viterbi, log-sum-exp for
-Forward) is vectorized with a cumulative-transform trick: with
-``C[k] = sum of chain costs``, every chain value is
+The recurrence is written once per direction.  :func:`_forward_pass` runs
+it left to right in a semiring - max-plus for Viterbi, log-sum-exp for
+Forward - and :func:`_backward_pass` runs the log-sum-exp suffix
+recurrence right to left.  Both keep their state rows only when asked:
+the score functions hold one row at a time, while posterior decoding
+(:mod:`repro.cpu.posterior`) and traceback (:mod:`repro.cpu.traceback`)
+read the kept matrices.
+
+The within-row Delete chain is vectorized with a cumulative-transform
+trick: with ``C[k] = sum of chain costs``, every chain value is
 ``inject[m] + C[k] - C[m]``, i.e. a cumulative sum plus a running
 max / log-sum-exp.  Impossible (-inf) D->D links split the positions into
 independent segments so infinities never enter the cumulative sums (which
-would otherwise destroy float precision).
+would otherwise destroy float precision).  Backward's chain runs right to
+left: the same scan over the reversed nodes and links.
 
 The identity ``forward_score == backward_score`` (to float tolerance) is
-enforced by the test suite, which pins both recurrences against each
-other; Backward is implemented independently as a suffix recurrence.
-"""
+enforced by the test suite, which pins the two passes against each other."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +45,9 @@ __all__ = [
 ]
 
 _NEG = float("-inf")
+
+# Delete-chain segments of one profile: (lo, hi, cumulative link costs)
+_Plan = list[tuple[int, int, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -102,10 +113,13 @@ def _coerce(profile: SearchProfile | GenericProfile) -> GenericProfile:
     return profile
 
 
-def _check_codes(codes: np.ndarray) -> np.ndarray:
+def _check_codes(gp: GenericProfile, codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 1 or codes.size == 0:
         raise KernelError("codes must be a non-empty 1-D array")
+    kp = gp.msc.shape[0]
+    if codes.min() < 0 or codes.max() >= kp:
+        raise KernelError(f"residue codes must lie in [0, {kp})")
     return codes
 
 
@@ -124,38 +138,32 @@ def _forward_segments(M: int, tdd: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def _d_chain(inject: np.ndarray, tdd: np.ndarray, combine_accumulate) -> np.ndarray:
-    """Shared forward Delete-chain scan.
+def _chain_plan(M: int, links: np.ndarray) -> _Plan:
+    """The Delete chain's segments with their cumulative link costs.
 
-    Solves ``D[j] = combine(inject[j], D[j-1] + tdd[j-1])`` with
-    ``D[-1] = -inf``, where ``inject[j]`` is the M->D hop arriving at
-    ``j`` and ``combine`` is max (Viterbi) or log-sum-exp (Forward).
+    ``links[j-1]`` joins position ``j-1`` to ``j``.  Each entry is
+    ``(lo, hi, C)`` with ``C[k]`` the summed links from ``lo`` to
+    ``lo + k``; they are profile constants, so a pass builds them once.
     """
-    M = inject.shape[0]
-    D = np.full(M, _NEG)
-    for lo, hi in _forward_segments(M, tdd):
-        n = hi - lo
-        if n == 1:
-            D[lo] = inject[lo]
-            continue
-        c = np.concatenate(([0.0], np.cumsum(tdd[lo : hi - 1])))  # C[k]
-        g = inject[lo:hi] - c
-        with np.errstate(invalid="ignore"):
-            h = combine_accumulate(g)
-        D[lo:hi] = c + h
+    return [
+        (lo, hi, np.concatenate(([0.0], np.cumsum(links[lo : hi - 1]))))
+        for lo, hi in _forward_segments(M, links)
+    ]
+
+
+def _d_chain(inject: np.ndarray, plan: _Plan, scan) -> np.ndarray:
+    """Shared Delete-chain scan.
+
+    Solves ``D[j] = combine(inject[j], D[j-1] + links[j-1])`` with
+    ``D[-1] = -inf``, where ``inject[j]`` is the hop arriving at ``j``
+    from outside the chain, ``combine`` is max (Viterbi) or log-sum-exp
+    (Forward, Backward) and ``scan`` its running form.  Callers run it
+    under ``np.errstate(invalid="ignore")``.
+    """
+    D = np.empty_like(inject)
+    for lo, hi, c in plan:
+        D[lo:hi] = c + scan(inject[lo:hi] - c)
     return D
-
-
-def _max_d_chain(start: np.ndarray, tdd: np.ndarray) -> np.ndarray:
-    """Viterbi Delete chain; ``start[i] = M[i] + tmd[i]`` enters ``i+1``."""
-    inject = np.concatenate(([_NEG], start[:-1]))
-    return _d_chain(inject, tdd, np.maximum.accumulate)
-
-
-def _lse_d_chain(start: np.ndarray, tdd: np.ndarray) -> np.ndarray:
-    """Forward Delete chain (log-sum-exp semiring)."""
-    inject = np.concatenate(([_NEG], start[:-1]))
-    return _d_chain(inject, tdd, np.logaddexp.accumulate)
 
 
 def _shift(a: np.ndarray) -> np.ndarray:
@@ -182,34 +190,104 @@ def _lse_total(values: np.ndarray) -> float:
     return float(mx + np.log(np.exp(finite - mx).sum()))
 
 
+class _Semiring(NamedTuple):
+    """How a pass combines alternative paths into one score."""
+
+    plus: np.ufunc                           # two alternatives
+    total: Callable[[np.ndarray], float]     # every entry of a row
+    scan: Callable[[np.ndarray], np.ndarray]  # running combine along a row
+
+
+_MAX_PLUS = _Semiring(np.maximum, lambda v: float(v.max()), np.maximum.accumulate)
+_LOG_SUM_EXP = _Semiring(np.logaddexp, _lse_total, np.logaddexp.accumulate)
+
+
+def _forward_pass(
+    gp: GenericProfile, codes: np.ndarray, sr: _Semiring, keep: bool = False
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The Plan-7 recurrence left to right: Viterbi or Forward by ``sr``.
+
+    Returns ``(score, X, rows)``.  ``X[r]`` holds the N, B, E, J, C specials
+    after ``r`` residues, shape ``(L+1, 5)``.  ``rows[i]`` holds the M, I,
+    D states of residue ``i``, shape ``(L, 3, M)``, kept only when
+    ``keep`` is set (else ``None``), so a score costs one row of memory.
+    """
+    L, M = codes.size, gp.M
+    plus = sr.plus
+    X = np.full((L + 1, 5), _NEG)
+    rows = np.full((L, 3, M), _NEG) if keep else None
+    plan = _chain_plan(M, gp.tdd)
+    Mp = Ip = Dp = np.full(M, _NEG)
+    xN, xJ, xC = 0.0, _NEG, _NEG
+    xB = xN + gp.N_move
+    X[0, :2] = xN, xB
+    with np.errstate(invalid="ignore"):
+        for i, x in enumerate(codes):
+            sv = plus(xB + gp.tbm, _shift(Mp) + gp.enter_mm)
+            sv = plus(sv, _shift(Ip) + gp.enter_im)
+            sv = plus(sv, _shift(Dp) + gp.enter_dm)
+            Mv = sv + gp.msc[int(x)]
+            Iv = plus(Mp + gp.tmi, Ip + gp.tii)
+            Dv = _d_chain(_shift(Mv + gp.tmd), plan, sr.scan)
+            xE = sr.total(Mv)  # free local exit from every match state
+            xN = xN + gp.N_loop
+            xJ = plus(xJ + gp.J_loop, xE + gp.E_loop)
+            xC = plus(xC + gp.C_loop, xE + gp.E_move)
+            xB = plus(xN + gp.N_move, xJ + gp.J_move)
+            X[i + 1] = xN, xB, xE, xJ, xC
+            if rows is not None:
+                rows[i] = Mv, Iv, Dv
+            Mp, Ip, Dp = Mv, Iv, Dv
+    return float(xC + gp.C_move), X, rows
+
+
+def _backward_pass(
+    gp: GenericProfile, codes: np.ndarray, keep: bool = False
+) -> tuple[float, np.ndarray | None]:
+    """The log-sum-exp suffix recurrence, right to left.
+
+    Returns ``(score, rows)``: the Backward score (N at row 0) and, when
+    ``keep`` is set, the M and I states after residue ``i`` in
+    ``rows[i]``, shape ``(L, 2, M)``.  The Delete chain runs right to
+    left, which is :func:`_d_chain` over the reversed nodes with the
+    reversed links ``tdd[-2::-1]``: the same segments and the same
+    cumulative sums as a scan written for that direction.
+    """
+    L, M = codes.size, gp.M
+    rows = np.full((L, 2, M), _NEG) if keep else None
+    plan = _chain_plan(M, gp.tdd[-2::-1])
+    lse = np.logaddexp
+    with np.errstate(invalid="ignore"):
+        # after the last residue only exit paths remain
+        xC, xJ, xN = gp.C_move, _NEG, _NEG
+        xE = gp.E_move + xC
+        bM = np.full(M, xE)  # M_j -> E with free local exit
+        bI = np.full(M, _NEG)
+        for i in range(L - 1, -1, -1):
+            if rows is not None:
+                rows[i] = bM, bI
+            em = gp.msc[int(codes[i])]  # residue consumed entering row i+1
+            mj1 = _rshift(bM)           # bM at node j+1
+            emj1 = _rshift(em)
+            xB = _lse_total(gp.tbm + em + bM)
+            xC = gp.C_loop + xC
+            xJ = lse(gp.J_loop + xJ, gp.J_move + xB)
+            xE = lse(gp.E_move + xC, gp.E_loop + xJ)
+            xN = lse(gp.N_loop + xN, gp.N_move + xB)
+            bD = _d_chain((gp.tdm + emj1 + mj1)[::-1], plan, lse.accumulate)[::-1]
+            bMi = lse(xE, gp.tmm + emj1 + mj1)
+            bMi = lse(bMi, gp.tmi + bI)
+            bI = lse(gp.tim + emj1 + mj1, gp.tii + bI)
+            bM = lse(bMi, gp.tmd + _rshift(bD))
+    return float(xN), rows
+
+
 def generic_viterbi_score(
     profile: SearchProfile | GenericProfile, codes: np.ndarray
 ) -> float:
     """Optimal-alignment (Viterbi) log-odds score in nats, full precision."""
     gp = _coerce(profile)
-    codes = _check_codes(codes)
-    M = gp.M
-    Mp = np.full(M, _NEG)
-    Ip = Mp.copy()
-    Dp = Mp.copy()
-    xN, xJ, xC = 0.0, _NEG, _NEG
-    xB = xN + gp.N_move
-    with np.errstate(invalid="ignore"):
-        for x in codes:
-            rs = gp.msc[int(x)]
-            sv = np.maximum(xB + gp.tbm, _shift(Mp) + gp.enter_mm)
-            sv = np.maximum(sv, _shift(Ip) + gp.enter_im)
-            sv = np.maximum(sv, _shift(Dp) + gp.enter_dm)
-            Mv = sv + rs
-            Iv = np.maximum(Mp + gp.tmi, Ip + gp.tii)
-            Dv = _max_d_chain(Mv + gp.tmd, gp.tdd)
-            xE = float(Mv.max())
-            xN = xN + gp.N_loop
-            xJ = max(xJ + gp.J_loop, xE + gp.E_loop)
-            xC = max(xC + gp.C_loop, xE + gp.E_move)
-            xB = max(xN + gp.N_move, xJ + gp.J_move)
-            Mp, Ip, Dp = Mv, Iv, Dv
-    return xC + gp.C_move
+    return _forward_pass(gp, _check_codes(gp, codes), _MAX_PLUS)[0]
 
 
 def generic_forward_score(
@@ -217,55 +295,7 @@ def generic_forward_score(
 ) -> float:
     """Forward log-odds score in nats: sum over all alignments."""
     gp = _coerce(profile)
-    codes = _check_codes(codes)
-    M = gp.M
-    Mp = np.full(M, _NEG)
-    Ip = Mp.copy()
-    Dp = Mp.copy()
-    xN, xJ, xC = 0.0, _NEG, _NEG
-    xB = xN + gp.N_move
-    with np.errstate(invalid="ignore"):
-        for x in codes:
-            rs = gp.msc[int(x)]
-            sv = np.logaddexp(xB + gp.tbm, _shift(Mp) + gp.enter_mm)
-            sv = np.logaddexp(sv, _shift(Ip) + gp.enter_im)
-            sv = np.logaddexp(sv, _shift(Dp) + gp.enter_dm)
-            Mv = sv + rs
-            Iv = np.logaddexp(Mp + gp.tmi, Ip + gp.tii)
-            Dv = _lse_d_chain(Mv + gp.tmd, gp.tdd)
-            xE = _lse_total(Mv)  # free local exit from every match state
-            xN = xN + gp.N_loop
-            xJ = np.logaddexp(xJ + gp.J_loop, xE + gp.E_loop)
-            xC = np.logaddexp(xC + gp.C_loop, xE + gp.E_move)
-            xB = np.logaddexp(xN + gp.N_move, xJ + gp.J_move)
-            Mp, Ip, Dp = Mv, Iv, Dv
-    return float(xC + gp.C_move)
-
-
-def _reverse_lse_chain(start: np.ndarray, tdd: np.ndarray) -> np.ndarray:
-    """Reverse Delete chain: ``bD[j] = lse(start[j], tdd[j] + bD[j+1])``.
-
-    ``start[j]`` is the D_j -> M_{j+1} contribution.  Solved right to
-    left with the same segmented cumulative transform.
-    """
-    M = start.shape[0]
-    s = start[::-1]
-    t = tdd[::-1]  # r[k] = lse(s[k], t[k] + r[k-1])
-    out = np.full(M, _NEG)
-    bad = np.flatnonzero(~np.isfinite(t))
-    starts = np.unique(np.concatenate(([0], bad)))
-    ends = np.concatenate((starts[1:], [M]))
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        n = hi - lo
-        if n == 1:
-            out[lo] = s[lo]
-            continue
-        c = np.concatenate(([0.0], np.cumsum(t[lo + 1 : hi])))  # C[k], C[0]=0
-        g = s[lo:hi] - c
-        with np.errstate(invalid="ignore"):
-            u = np.logaddexp.accumulate(g)
-        out[lo:hi] = c + u
-    return out[::-1]
+    return _forward_pass(gp, _check_codes(gp, codes), _LOG_SUM_EXP)[0]
 
 
 def generic_backward_score(
@@ -273,37 +303,4 @@ def generic_backward_score(
 ) -> float:
     """Backward log-odds score in nats; equals the Forward score."""
     gp = _coerce(profile)
-    codes = _check_codes(codes)
-    L = codes.size
-    M = gp.M
-
-    with np.errstate(invalid="ignore"):
-        # row L: all residues emitted; only exit paths remain.
-        xC_b = gp.C_move
-        xJ_b = _NEG
-        xN_b = _NEG
-        xE_b = gp.E_move + xC_b
-        bM = np.full(M, xE_b)  # M_j -> E with free local exit
-        bI = np.full(M, _NEG)
-        bD = np.full(M, _NEG)  # no D -> E exit in this model
-
-        for i in range(L - 1, -1, -1):
-            em_next = gp.msc[int(codes[i])]  # residue consumed entering row i+1
-            mj1 = _rshift(bM)                # bM[i+1] at node j+1
-            emj1 = _rshift(em_next)
-            # specials at row i (before overwriting core rows)
-            xB_b = _lse_total(gp.tbm + em_next + bM)
-            xC_b = gp.C_loop + xC_b
-            xJ_b = np.logaddexp(gp.J_loop + xJ_b, gp.J_move + xB_b)
-            xE_b = np.logaddexp(gp.E_move + xC_b, gp.E_loop + xJ_b)
-            xN_b = np.logaddexp(gp.N_loop + xN_b, gp.N_move + xB_b)
-            # core states at row i
-            bD_new = _reverse_lse_chain(gp.tdm + emj1 + mj1, gp.tdd)
-            bM_new = np.logaddexp(np.full(M, xE_b), gp.tmm + emj1 + mj1)
-            bM_new = np.logaddexp(bM_new, gp.tmi + bI)
-            bM_new = np.logaddexp(bM_new, gp.tmd + _rshift(bD_new))
-            bI_new = np.logaddexp(gp.tim + emj1 + mj1, gp.tii + bI)
-            bM, bI, bD = bM_new, bI_new, bD_new
-
-        # S -> N is free; N at row 0 must route through xN_b
-    return float(xN_b)
+    return _backward_pass(gp, _check_codes(gp, codes))[0]

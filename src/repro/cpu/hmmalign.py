@@ -17,7 +17,7 @@ import numpy as np
 from ..alphabet import AMINO
 from ..errors import KernelError
 from ..hmm.profile import SearchProfile
-from .generic import GenericProfile
+from .generic import GenericProfile, _coerce
 from .traceback import viterbi_traceback
 
 __all__ = ["align_to_profile"]
@@ -58,11 +58,7 @@ def align_to_profile(
     ``sequences`` may be :class:`~repro.sequence.DigitalSequence` objects
     or raw digital code arrays.
     """
-    gp = (
-        GenericProfile.from_profile(profile)
-        if isinstance(profile, SearchProfile)
-        else profile
-    )
+    gp = _coerce(profile)
     if len(sequences) == 0:
         raise KernelError("nothing to align")
     per_seq = []

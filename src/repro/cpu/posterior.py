@@ -1,9 +1,9 @@
 """Posterior decoding: per-residue alignment probabilities and domains.
 
 The full HMMER pipeline follows the Forward stage with posterior
-decoding to define domain boundaries.  This module implements the
-matrix-retaining Forward/Backward pass over the same local multihit
-profile as :mod:`repro.cpu.generic` and derives
+decoding to define domain boundaries.  This module keeps the state
+matrices of the Forward and Backward passes of :mod:`repro.cpu.generic`
+and derives
 
 * ``match`` / ``insert`` posteriors: ``P(residue i aligned to M_j / I_j)``,
 * a per-residue *homology* probability (the residue is emitted by the
@@ -24,12 +24,12 @@ import numpy as np
 from ..errors import KernelError
 from ..hmm.profile import SearchProfile
 from .generic import (
+    _LOG_SUM_EXP,
     GenericProfile,
-    _lse_d_chain,
-    _lse_total,
-    _reverse_lse_chain,
-    _rshift,
-    _shift,
+    _backward_pass,
+    _check_codes,
+    _coerce,
+    _forward_pass,
 )
 
 __all__ = ["PosteriorDecoding", "posterior_decode", "domain_regions"]
@@ -59,81 +59,17 @@ class PosteriorDecoding:
         return float(self.homology.sum())
 
 
-def _forward_matrices(gp: GenericProfile, codes: np.ndarray):
-    L, M = codes.size, gp.M
-    fM = np.full((L, M), _NEG)
-    fI = np.full((L, M), _NEG)
-    fD = np.full((L, M), _NEG)
-    Mp = np.full(M, _NEG)
-    Ip = Mp.copy()
-    Dp = Mp.copy()
-    xN, xJ, xC = 0.0, _NEG, _NEG
-    xB = xN + gp.N_move
-    with np.errstate(invalid="ignore"):
-        for i in range(L):
-            rs = gp.msc[int(codes[i])]
-            sv = np.logaddexp(xB + gp.tbm, _shift(Mp) + gp.enter_mm)
-            sv = np.logaddexp(sv, _shift(Ip) + gp.enter_im)
-            sv = np.logaddexp(sv, _shift(Dp) + gp.enter_dm)
-            Mv = sv + rs
-            Iv = np.logaddexp(Mp + gp.tmi, Ip + gp.tii)
-            Dv = _lse_d_chain(Mv + gp.tmd, gp.tdd)
-            xE = _lse_total(Mv)
-            xN = xN + gp.N_loop
-            xJ = np.logaddexp(xJ + gp.J_loop, xE + gp.E_loop)
-            xC = np.logaddexp(xC + gp.C_loop, xE + gp.E_move)
-            xB = np.logaddexp(xN + gp.N_move, xJ + gp.J_move)
-            fM[i], fI[i], fD[i] = Mv, Iv, Dv
-            Mp, Ip, Dp = Mv, Iv, Dv
-    return fM, fI, float(xC + gp.C_move)
-
-
-def _backward_matrices(gp: GenericProfile, codes: np.ndarray):
-    L, M = codes.size, gp.M
-    bM = np.full((L, M), _NEG)
-    bI = np.full((L, M), _NEG)
-    with np.errstate(invalid="ignore"):
-        xC_b = gp.C_move
-        xJ_b = _NEG
-        xE_b = gp.E_move + xC_b
-        rowM = np.full(M, xE_b)
-        rowI = np.full(M, _NEG)
-        bM[L - 1], bI[L - 1] = rowM, rowI
-        for i in range(L - 1, 0, -1):
-            em_next = gp.msc[int(codes[i])]
-            mj1 = _rshift(rowM)
-            emj1 = _rshift(em_next)
-            xB_b = _lse_total(gp.tbm + em_next + rowM)
-            xC_b = gp.C_loop + xC_b
-            xJ_b = np.logaddexp(gp.J_loop + xJ_b, gp.J_move + xB_b)
-            xE_b = np.logaddexp(gp.E_move + xC_b, gp.E_loop + xJ_b)
-            bD_new = _reverse_lse_chain(gp.tdm + emj1 + mj1, gp.tdd)
-            rowM_new = np.logaddexp(np.full(M, xE_b), gp.tmm + emj1 + mj1)
-            rowM_new = np.logaddexp(rowM_new, gp.tmi + rowI)
-            rowM_new = np.logaddexp(rowM_new, gp.tmd + _rshift(bD_new))
-            rowI_new = np.logaddexp(gp.tim + emj1 + mj1, gp.tii + rowI)
-            rowM, rowI = rowM_new, rowI_new
-            bM[i - 1], bI[i - 1] = rowM, rowI
-    return bM, bI
-
-
 def posterior_decode(
     profile: SearchProfile | GenericProfile, codes: np.ndarray
 ) -> PosteriorDecoding:
     """Exact posterior decoding of one digital sequence."""
-    gp = (
-        GenericProfile.from_profile(profile)
-        if isinstance(profile, SearchProfile)
-        else profile
-    )
-    codes = np.asarray(codes)
-    if codes.ndim != 1 or codes.size == 0:
-        raise KernelError("codes must be a non-empty 1-D array")
-    fM, fI, total = _forward_matrices(gp, codes)
-    bM, bI = _backward_matrices(gp, codes)
+    gp = _coerce(profile)
+    codes = _check_codes(gp, codes)
+    total, _, fwd = _forward_pass(gp, codes, _LOG_SUM_EXP, keep=True)
+    _, bwd = _backward_pass(gp, codes, keep=True)
     with np.errstate(invalid="ignore"):
-        pM = np.exp(np.nan_to_num(fM + bM, nan=_NEG) - total)
-        pI = np.exp(np.nan_to_num(fI + bI, nan=_NEG) - total)
+        pM = np.exp(np.nan_to_num(fwd[:, 0] + bwd[:, 0], nan=_NEG) - total)
+        pI = np.exp(np.nan_to_num(fwd[:, 1] + bwd[:, 1], nan=_NEG) - total)
     homology = np.clip(pM.sum(axis=1) + pI.sum(axis=1), 0.0, 1.0)
     return PosteriorDecoding(
         score=total,

@@ -1,10 +1,11 @@
 """Viterbi traceback: optimal alignments, not just scores.
 
 The filters only need scores, but reported hits need the alignment
-itself.  This module runs the full-precision Viterbi DP while retaining
-the matrices, then walks backwards through the winning transitions to
-recover the optimal state path - including the flanking N/J/C machinery,
-so multihit paths decompose into per-domain alignments.
+itself.  This module runs the full-precision Viterbi pass of
+:mod:`repro.cpu.generic` keeping its matrices, then walks backwards
+through the winning transitions to recover the optimal state path -
+including the flanking N/J/C machinery, so multihit paths decompose
+into per-domain alignments.
 
 Invariants enforced by the tests: re-scoring the recovered path
 reproduces the Viterbi score; every residue is consumed by exactly one
@@ -20,7 +21,13 @@ import numpy as np
 from ..alphabet import AMINO
 from ..errors import KernelError
 from ..hmm.profile import SearchProfile
-from .generic import GenericProfile, _max_d_chain, _shift
+from .generic import (
+    _MAX_PLUS,
+    GenericProfile,
+    _check_codes,
+    _coerce,
+    _forward_pass,
+)
 
 __all__ = ["PathStep", "DomainAlignment", "ViterbiAlignment", "viterbi_traceback"]
 
@@ -85,40 +92,6 @@ class ViterbiAlignment:
         return sum(1 for s in self.path if s.state in "MI")
 
 
-def _forward_matrices(gp: GenericProfile, codes: np.ndarray):
-    L, M = codes.size, gp.M
-    fM = np.full((L, M), _NEG)
-    fI = np.full((L, M), _NEG)
-    fD = np.full((L, M), _NEG)
-    xN = np.full(L + 1, _NEG)
-    xB = np.full(L + 1, _NEG)
-    xE = np.full(L + 1, _NEG)
-    xJ = np.full(L + 1, _NEG)
-    xC = np.full(L + 1, _NEG)
-    xN[0] = 0.0
-    xB[0] = gp.N_move
-    Mp = np.full(M, _NEG)
-    Ip = Mp.copy()
-    Dp = Mp.copy()
-    with np.errstate(invalid="ignore"):
-        for i in range(L):
-            rs = gp.msc[int(codes[i])]
-            sv = np.maximum(xB[i] + gp.tbm, _shift(Mp) + gp.enter_mm)
-            sv = np.maximum(sv, _shift(Ip) + gp.enter_im)
-            sv = np.maximum(sv, _shift(Dp) + gp.enter_dm)
-            fM[i] = sv + rs
-            fI[i] = np.maximum(Mp + gp.tmi, Ip + gp.tii)
-            fD[i] = _max_d_chain(fM[i] + gp.tmd, gp.tdd)
-            r = i + 1
-            xE[r] = float(fM[i].max())
-            xN[r] = xN[r - 1] + gp.N_loop
-            xJ[r] = max(xJ[r - 1] + gp.J_loop, xE[r] + gp.E_loop)
-            xC[r] = max(xC[r - 1] + gp.C_loop, xE[r] + gp.E_move)
-            xB[r] = max(xN[r] + gp.N_move, xJ[r] + gp.J_move)
-            Mp, Ip, Dp = fM[i], fI[i], fD[i]
-    return fM, fI, fD, xN, xB, xE, xJ, xC
-
-
 def _split_domains(path: list[PathStep]) -> tuple[DomainAlignment, ...]:
     domains = []
     current: list[PathStep] | None = None
@@ -149,17 +122,12 @@ def viterbi_traceback(
     profile: SearchProfile | GenericProfile, codes: np.ndarray
 ) -> ViterbiAlignment:
     """Optimal alignment of a digital sequence against the profile."""
-    gp = (
-        GenericProfile.from_profile(profile)
-        if isinstance(profile, SearchProfile)
-        else profile
-    )
-    codes = np.asarray(codes)
-    if codes.ndim != 1 or codes.size == 0:
-        raise KernelError("codes must be a non-empty 1-D array")
+    gp = _coerce(profile)
+    codes = _check_codes(gp, codes)
     L, M = codes.size, gp.M
-    fM, fI, fD, xN, xB, xE, xJ, xC = _forward_matrices(gp, codes)
-    score = float(xC[L] + gp.C_move)
+    score, X, rows = _forward_pass(gp, codes, _MAX_PLUS, keep=True)
+    xN, xB, xE, xJ, xC = X.T
+    fM, fI, fD = rows.transpose(1, 0, 2)
     if not np.isfinite(score):
         raise KernelError("sequence has no finite alignment to the profile")
 

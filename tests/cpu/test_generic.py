@@ -7,6 +7,7 @@ DP recurrences (including the flanking N/B/E/C/J machinery and the
 within-row Delete chains) to the probabilistic model itself.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from repro.cpu import (
     generic_backward_score,
     generic_forward_score,
     generic_viterbi_score,
+    posterior_decode,
+    viterbi_traceback,
 )
 from repro.errors import KernelError
 from repro.hmm import SearchProfile, sample_hmm
@@ -168,6 +171,46 @@ class TestDualities:
         assert generic_viterbi_score(profile, codes) <= generic_forward_score(
             profile, codes
         ) + 1e-9
+
+
+class TestSharedPasses:
+    @given(
+        M=st.integers(min_value=1, max_value=40),
+        L=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**31),
+        cut=st.none() | st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_callers_reproduce_the_scores(self, M, L, seed, cut):
+        """Posterior decoding and traceback report the score functions'
+        own values, with or without an impossible interior D->D link
+        (the Delete chain then splits into segments both ways)."""
+        rng = np.random.default_rng(seed)
+        gp = GenericProfile.from_profile(SearchProfile(sample_hmm(M, rng), L=L))
+        if cut is not None and M >= 2:
+            tdd = gp.tdd.copy()
+            tdd[cut % (M - 1)] = NEG
+            gp = dataclasses.replace(gp, tdd=tdd)
+        codes = random_sequence_codes(L, rng)
+        forward = generic_forward_score(gp, codes)
+        assert posterior_decode(gp, codes).score == forward
+        assert viterbi_traceback(gp, codes).score == generic_viterbi_score(gp, codes)
+        assert abs(generic_backward_score(gp, codes) - forward) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [generic_viterbi_score, generic_forward_score, generic_backward_score,
+     posterior_decode, viterbi_traceback],
+)
+@pytest.mark.parametrize("bad", ["negative", "alphabet_size"])
+def test_out_of_alphabet_codes_rejected(engine, bad, small_profile):
+    """A code outside ``[0, Kp)`` is a KernelError, never another row's
+    scores (a negative code would index ``msc`` from the end)."""
+    kp = small_profile.msc.shape[0]
+    codes = np.array([3, -1 if bad == "negative" else kp, 4])
+    with pytest.raises(KernelError, match="residue codes"):
+        engine(small_profile, codes)
 
 
 class TestBehaviour:
