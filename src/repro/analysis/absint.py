@@ -116,6 +116,7 @@ _MODULE_SYSTEMS: Dict[str, Optional[str]] = {
 _SYSTEM_OF_PROFILE = {
     "MSVByteProfile": "u8",
     "ViterbiWordProfile": "i16",
+    "PackedWordProfile": "i16",
     "StripedViterbiProfile": "i16",
 }
 
@@ -302,6 +303,26 @@ PROFILE_SEEDS: Dict[str, Dict[str, AbsVal]] = {
         "emission_row": mk(**_I16),
         "final_score_nats": TOP_FLOAT,
         "bits_from_nats": TOP_FLOAT,
+    },
+    # a launch group's word profiles padded to its largest M: every pad
+    # entry is the -32768 floor, so each stacked table keeps its
+    # one-model interval (tbm is per node, the specials per model)
+    "PackedWordProfile": {
+        "M": mk(1, INF),
+        "rwv": mk(**_I16),
+        "tbm": mk(**_NEG_I16),
+        "enter_mm": mk(**_NEG_I16),
+        "enter_im": mk(**_NEG_I16),
+        "enter_dm": mk(**_NEG_I16),
+        "tmi": mk(**_NEG_I16),
+        "tii": mk(**_NEG_I16),
+        "xE_move": mk(**_NEG_I16),
+        "xE_loop": mk(**_NEG_I16),
+        "xNJ_move": mk(**_NEG_I16),
+        "base": mk(12000, 12000),
+        "scale": TOP_FLOAT,
+        "overflow_threshold": mk(32767, 32767),
+        "init_xB": mk(-20768, 12000),
     },
     "StripedViterbiProfile": {
         "base": AbsVal(kind="obj", obj_types=("ViterbiWordProfile",)),

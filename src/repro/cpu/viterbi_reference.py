@@ -47,6 +47,7 @@ from ..scoring.guardrails import GuardrailCounters
 from ..scoring.quantized import clip_i16, sat_add_i16
 from ..scoring.vit_profile import ViterbiWordProfile
 from ..sequence.database import PaddedBatch, SequenceDatabase
+from .packing import PackedWordProfile, is_packed
 from .results import FilterScores, lane_blocks, live_counts, retire
 
 __all__ = [
@@ -154,10 +155,23 @@ def viterbi_score_batch(
     return viterbi_lockstep(profile, batch, guard)[0]
 
 
+def _d_scan(tmd: np.ndarray, tdd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delete-chain scan constants (see :func:`exact_d_chain`) in the
+    int64 carrier, over the trailing node axis: ``tmd - c[1:M+1]`` and
+    ``c[1:M]``, with ``c[j]`` the sum of ``tdd[t]`` for ``t < j``."""
+    M = tdd.shape[-1]
+    c = np.concatenate(
+        (np.zeros(tdd.shape[:-1] + (1,), dtype=np.int64),
+         np.cumsum(tdd, axis=-1, dtype=np.int64)),
+        axis=-1,
+    )
+    return tmd - c[..., 1:], c[..., 1:M]
+
+
 def viterbi_lockstep(
-    profile: ViterbiWordProfile,
+    profile: ViterbiWordProfile | PackedWordProfile,
     batch: PaddedBatch | SequenceDatabase,
-    guard: GuardrailCounters | None = None,
+    guard=None,
     *,
     observe=None,
 ) -> tuple[FilterScores, np.ndarray]:
@@ -171,31 +185,58 @@ def viterbi_lockstep(
     length, or the rows up to and including its overflow row.
     ``guard.saturations`` counts M-row cells pinned at the i16 floor
     over the live prefix - the tally the batched kernel reports as
-    ``KernelCounters.saturations``.  ``observe(Mv, Dv)``, when given, is
-    called once per row with the live prefix's Match row ``(p, M)`` and
-    Delete row at nodes ``1..M-1`` ``(p, M-1)``, lanes that overflow on
-    that row included; the per-warp kernel charges its Lazy-F votes
-    from them.
+    ``KernelCounters.saturations``.  ``observe(Mv, Dv, lanes)``, when
+    given, is called once per row with the live prefix's Match row
+    ``(p, M)``, its Delete row at nodes ``1..M-1`` ``(p, M-1)`` and the
+    batch indices of those lanes, lanes that overflow on that row
+    included; the per-warp kernel charges its Lazy-F votes from them.
+
+    A packed call (a :class:`~repro.cpu.packing.PackedWordProfile` and a
+    batch with per-lane ``models``) gives each lane its model's rows,
+    and ``guard`` is one tally per model, charged the saturations of
+    that model's own nodes.  A one-model call broadcasts the profile's
+    ``(M,)`` rows over the lanes.
     """
     if isinstance(batch, SequenceDatabase):
         batch = batch.padded_batch()
+    packed = is_packed(profile, batch)
     n, M = batch.n_seqs, profile.M
     # zero-length lanes process no rows: xC stays -inf
     xC_out = np.full(n, VF_WORD_MIN, dtype=np.int64)
     overflowed = np.zeros(n, dtype=bool)
     rows_run = batch.lengths.copy()  # overflowed lanes: cut below
     threshold = profile.overflow_threshold
-    # Delete-chain scan constants (see exact_d_chain), once per call, in
-    # the int64 carrier: c[j] = sum of tdd[t] for t < j.  The chain
-    # starts Mv + tmd are not floored first: a start below -32768 only
-    # feeds chains that end below it, and the final clip floors those.
-    c = np.concatenate(([0], np.cumsum(profile.tdd, dtype=np.int64)))
-    tmd_c = profile.tmd - c[1 : M + 1]
-    c_body = c[1:M]
+    # Delete-chain scan constants, once per call.  The chain starts
+    # Mv + tmd are not floored first: a start below -32768 only feeds
+    # chains that end below it, and the final clip floors those.  A
+    # packed call reads the links cut after each model's last node.
+    if packed:
+        codes = profile.lane_codes(batch)
+        tmd_c, c_body = _d_scan(profile.tmd_cut, profile.tdd_cut)
+        lane_sat = np.zeros(n, dtype=np.int64)
+    else:
+        codes = batch.codes
+        tmd_c, c_body = _d_scan(profile.tmd, profile.tdd)
+    tbm = np.asarray(profile.tbm, dtype=np.int32)
+    base_move = np.asarray(profile.base + profile.xNJ_move)
 
     for ids, lens in lane_blocks(batch):
         k, width = ids.size, int(lens[0])
         live = live_counts(lens, width)
+        # the lanes' parameter rows: each lane's model's (k, ...) rows
+        # in a packed call, else one broadcast (1, ...) row
+        sel = batch.models[ids] if packed else None
+        L_emm, L_eim, L_edm = (
+            profile.enter_mm[sel], profile.enter_im[sel], profile.enter_dm[sel]
+        )
+        L_tmi, L_tii, L_tbm = profile.tmi[sel], profile.tii[sel], tbm[sel]
+        L_tmd_c, L_c_body = tmd_c[sel], c_body[sel]
+        L_move, L_loop, L_nj, L_bm = (
+            np.asarray(profile.xE_move)[sel], np.asarray(profile.xE_loop)[sel],
+            np.asarray(profile.xNJ_move)[sel], base_move[sel],
+        )
+        lanes = (L_emm, L_eim, L_edm, L_tmi, L_tii, L_tbm, L_tmd_c,
+                 L_c_body, L_move, L_loop, L_nj, L_bm) if packed else ()
         # (M+1)-wide double-buffered state rows; column 0 is the
         # permanent minus-infinity boundary, so "node j-1" is the view
         # [:, :M].  The D rows' column 1 stays -inf too: no Delete state
@@ -211,66 +252,83 @@ def viterbi_lockstep(
         g = np.empty((k, M), dtype=np.int64)
         xJ = np.full(k, VF_WORD_MIN, dtype=np.int64)
         xC = xJ.copy()
-        xB = np.full(k, profile.init_xB, dtype=np.int32)
+        xB = np.empty(k, dtype=np.int32)
+        xB[:] = np.asarray(profile.init_xB)[sel]
+        cut = -1
 
         for i in range(width):
             p = int(live[i])
             if p == 0:
                 break
+            if p != cut:
+                # views of the live prefix's rows; a (1, ...) row stays
+                # whole and broadcasts
+                cut = p
+                emm, eim, edm = L_emm[:p], L_eim[:p], L_edm[:p]
+                tmi, tii, tbm_p = L_tmi[:p], L_tii[:p], L_tbm[:p]
+                tmd_cp, c_bp = L_tmd_c[:p], L_c_body[:p]
+                move, loop, nj, bm = L_move[:p], L_loop[:p], L_nj[:p], L_bm[:p]
             Mv, Iv, Dv = Mn[:p, 1:], In[:p, 1:], Dn[:p, 2:]
             s, t, h = sv[:p], tmp[:p], g[:p]
             # Match: the four entry terms maxed unclipped, one clip, then
             # the emission and one more clip
-            np.add(Mp[:p, :M], profile.enter_mm, out=s)
-            np.add(Ip[:p, :M], profile.enter_im, out=t)
+            np.add(Mp[:p, :M], emm, out=s)
+            np.add(Ip[:p, :M], eim, out=t)
             np.maximum(s, t, out=s)
-            np.add(Dp[:p, :M], profile.enter_dm, out=t)
+            np.add(Dp[:p, :M], edm, out=t)
             np.maximum(s, t, out=s)
-            np.maximum(s, (xB[:p] + profile.tbm)[:, None], out=s)
+            np.maximum(s, xB[:p, None] + tbm_p, out=s)
             clip_i16(s, out=s)
-            np.take(profile.rwv, batch.codes[ids[:p], i], axis=0, out=t)
+            np.take(profile.rwv, codes[ids[:p], i], axis=0, out=t)
             np.add(s, t, out=s)
             clip_i16(s, out=Mv)
             # Insert: max of two sums, one clip
-            np.add(Mp[:p, 1:], profile.tmi, out=s)
-            np.add(Ip[:p, 1:], profile.tii, out=t)
+            np.add(Mp[:p, 1:], tmi, out=s)
+            np.add(Ip[:p, 1:], tii, out=t)
             np.maximum(s, t, out=s)
             clip_i16(s, out=Iv)
             # Delete: max-plus prefix scan along the row, one clip
-            np.add(Mv, tmd_c, out=h)
+            np.add(Mv, tmd_cp, out=h)
             np.maximum.accumulate(h, axis=1, out=h)
-            np.add(h[:, :-1], c_body, out=h[:, :-1])
+            np.add(h[:, :-1], c_bp, out=h[:, :-1])
             clip_i16(h[:, :-1], out=Dv)
             if observe is not None:
-                observe(Mv, Dv)
+                observe(Mv, Dv, ids[:p])
 
             xE = Mv.max(axis=1)
-            if guard is not None:
+            if guard is not None and packed:
+                lane_sat[ids[:p]] += np.count_nonzero(Mv == VF_WORD_MIN, axis=1)
+            elif guard is not None:
                 guard.saturations += int(np.count_nonzero(Mv == VF_WORD_MIN))
-            np.maximum(xC[:p], xE + profile.xE_move, out=xC[:p])
-            np.maximum(xJ[:p], xE + profile.xE_loop, out=xJ[:p])
-            np.maximum(
-                xJ[:p] + profile.xNJ_move, profile.base + profile.xNJ_move,
-                out=xB[:p],
-            )
+            np.maximum(xC[:p], xE + move, out=xC[:p])
+            np.maximum(xJ[:p], xE + loop, out=xJ[:p])
+            np.maximum(xJ[:p] + nj, bm, out=xB[:p])
             # double buffering: this row's output is the next row's input
             Mp, Mn = Mn, Mp
             Ip, In = In, Ip
             Dp, Dn = Dn, Dp
             if int(xE.max()) >= threshold:
                 keep = retire(xE >= threshold, p, i, ids, overflowed,
-                              rows_run, (Mp, Ip, Dp))
+                              rows_run, (Mp, Ip, Dp) + lanes)
                 ids, lens, xJ, xC, xB = (
                     ids[keep], lens[keep], xJ[keep], xC[keep], xB[keep]
                 )
                 live = live_counts(lens, width)
+                cut = -1
 
         xC_out[ids] = xC
 
+    sel = batch.models if packed else None
+    final = np.asarray(profile.xNJ_move - profile.base)[sel]
     scores = np.where(
         xC_out == VF_WORD_MIN,
         float("-inf"),
-        (xC_out + profile.xNJ_move - profile.base) / profile.scale - 2.0,
+        (xC_out + final) / np.asarray(profile.scale)[sel] - 2.0,
     )
     scores[overflowed] = float("inf")
+    if guard is not None and packed:
+        # every pad cell of a live row sits at the floor
+        for m, lanes_m in profile.lanes(batch.models):
+            pads = (M - int(profile.Ms[m])) * int(rows_run[lanes_m].sum())
+            guard[m].saturations += int(lane_sat[lanes_m].sum()) - pads
     return FilterScores(scores=scores, overflowed=overflowed), rows_run

@@ -53,7 +53,7 @@ claim, pinned per-sequence by a hypothesis property test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from ..alphabet.packing import packed_stream_bytes
 from ..analysis.sanitizer import resolve_sanitizer
 from ..constants import WARP_SIZE
 from ..cpu.msv_reference import msv_lockstep
+from ..cpu.packing import PackedWordProfile, is_packed, per_model
 from ..cpu.results import FilterScores, live_counts
 from ..cpu.viterbi_reference import viterbi_lockstep
 from ..errors import KernelError
@@ -190,7 +191,7 @@ def pack_length_buckets(
 def _account(
     counters: KernelCounters | None,
     san,
-    batch: PaddedBatch,
+    lengths: np.ndarray,
     rows_run: np.ndarray,
     M: int,
     config: MemoryConfig,
@@ -200,7 +201,7 @@ def _account(
     cell_bytes: int,
     matrices: tuple[tuple[str, int], ...],
 ) -> None:
-    """Charge the simulated bucketed launch for one lockstep pass.
+    """Charge the simulated bucketed launch of one model's lanes.
 
     Bucket ``b`` runs row ``i`` over its ``p_i`` lanes with
     ``rows_run > i`` (longest first, so a prefix; retired lanes drop
@@ -216,13 +217,13 @@ def _account(
     dependency load and store per matrix per row, the pattern being
     identical for every warp and cell.
     """
-    buckets = pack_length_buckets(batch.lengths, max_waste=max_waste)
+    buckets = pack_length_buckets(lengths, max_waste=max_waste)
     rows = strips = 0
     for b in buckets:
         if counters is not None:
             grid = b.grid_cells()
             counters.grid_cells += grid
-            counters.padding_cells += grid - int(batch.lengths[b.indices].sum())
+            counters.padding_cells += grid - int(lengths[b.indices].sum())
         run = np.sort(rows_run[b.indices])[::-1]
         rows += int(run.sum())
         strips += int(run[::WARP_SIZE].sum())
@@ -261,23 +262,31 @@ def lockstep_launch(lockstep, profile, database, counters,
     5-bit rate (paper Figure 6) and the pass's saturation tally.  With
     ``packed_residues`` the residues are decoded from the packed word
     stream, all rows in one call, into the codes the pass reads.
-    ``observe`` is the P7Viterbi pass's per-row hook.
+    ``observe`` is the P7Viterbi pass's per-row hook.  In a packed call
+    (:mod:`repro.cpu.packing`) ``counters`` holds one entry per model,
+    each charged for its own lanes.
     """
     source_db = database if isinstance(database, SequenceDatabase) else None
     batch = database if source_db is None else database.padded_batch()
     if packed_residues:
-        batch = PackedResidueStream(batch, source_db).decoded()
-    guard = None if counters is None else GuardrailCounters()
+        decoded = PackedResidueStream(batch, source_db).decoded()
+        batch = replace(decoded, models=batch.models)
+    guard = None
+    if counters is not None:
+        guard = ([GuardrailCounters() for _ in profile.profiles]
+                 if is_packed(profile, batch) else GuardrailCounters())
     result, rows_run = (
         lockstep(profile, batch, guard) if observe is None
         else lockstep(profile, batch, guard, observe=observe)
     )
     if counters is not None:
-        counters.sequences += batch.n_seqs
-        counters.global_bytes += int(
-            sum(packed_stream_bytes(int(L)) for L in batch.lengths)
-        )
-        counters.saturations += guard.saturations
+        for (_, lanes, c), (_, _, g) in zip(per_model(profile, batch, counters),
+                                            per_model(profile, batch, guard)):
+            c.sequences += lanes.size
+            c.global_bytes += int(
+                sum(packed_stream_bytes(int(L)) for L in batch.lengths[lanes])
+            )
+            c.saturations += g.saturations
     return result, batch, rows_run
 
 
@@ -291,17 +300,19 @@ def attach_report(counters: KernelCounters | None, san) -> None:
 
 def _run(lockstep, profile, database, config, counters, sanitize,
          max_waste, layout) -> FilterScores:
-    """Score with the shared lockstep pass, then account the launch.
+    """Score with the shared lockstep pass, then account the launch of
+    each model's lanes.
 
-    ``layout`` is the kernel's ``(label, lane stride, cell bytes,
-    matrices)`` for :func:`_account`.
+    ``layout(profile)`` is the kernel's ``(label, lane stride, cell
+    bytes, matrices)`` for :func:`_account`.
     """
-    san = resolve_sanitizer(sanitize)
     result, batch, rows_run = lockstep_launch(lockstep, profile, database,
                                               counters)
-    if counters is not None or san is not None:
-        _account(counters, san, batch, rows_run, profile.M, config,
-                 max_waste, *layout)
+    for prof, lanes, c in per_model(profile, batch, counters):
+        san = resolve_sanitizer(sanitize)
+        if c is not None or san is not None:
+            _account(c, san, batch.lengths[lanes], rows_run[lanes], prof.M,
+                     config, max_waste, *layout(prof))
     return result
 
 
@@ -321,15 +332,17 @@ def msv_batched_kernel(
     :func:`~repro.cpu.msv_reference.msv_lockstep`, whose u8 state is
     carried natively with the clamp-before-add saturation identities.
     """
-    # one u8 row per lane; cell 0 is the byte-0 minus infinity
-    layout = ("msv_batched", conflict_free_lane_stride(profile.M + 1), 1,
-              (("", 0),))
+    def layout(prof):
+        # one u8 row per lane; cell 0 is the byte-0 minus infinity
+        return ("msv_batched", conflict_free_lane_stride(prof.M + 1), 1,
+                (("", 0),))
+
     return _run(msv_lockstep, profile, database, config, counters, sanitize,
                 max_waste, layout)
 
 
 def viterbi_batched_kernel(
-    profile: ViterbiWordProfile,
+    profile: ViterbiWordProfile | PackedWordProfile,
     database: SequenceDatabase | PaddedBatch,
     config: MemoryConfig = MemoryConfig.SHARED,
     device: DeviceSpec = KEPLER_K40,
@@ -342,11 +355,15 @@ def viterbi_batched_kernel(
     Bit-identical to
     :func:`repro.cpu.viterbi_reference.viterbi_score_batch`: both run
     :func:`~repro.cpu.viterbi_reference.viterbi_lockstep`, the fused
-    word recurrence argued exact in that module.
+    word recurrence argued exact in that module.  A packed call
+    (:mod:`repro.cpu.packing`) takes one ``counters`` entry per model
+    and charges each the launch of its own lanes.
     """
-    # i16 rows for three matrices per lane: M, I, D
-    row = 2 * (profile.M + 1)
-    layout = ("vit_batched", conflict_free_lane_stride(3 * row), 2,
-              ((":m", 0), (":i", row), (":d", 2 * row)))
+    def layout(prof):
+        # i16 rows for three matrices per lane: M, I, D
+        row = 2 * (prof.M + 1)
+        return ("vit_batched", conflict_free_lane_stride(3 * row), 2,
+                ((":m", 0), (":i", row), (":d", 2 * row)))
+
     return _run(viterbi_lockstep, profile, database, config, counters,
                 sanitize, max_waste, layout)

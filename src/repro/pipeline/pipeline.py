@@ -14,7 +14,10 @@ claim - which the test suite asserts; they differ in the hardware event
 counters and in the stage times the performance model assigns.
 
 :meth:`HmmsearchPipeline.search` takes a
-:class:`~repro.options.SearchOptions`.  When ``options.tracer`` is
+:class:`~repro.options.SearchOptions`; it is the one-model case of
+:func:`search_group`, which runs several models over one database and
+scores each survivor stage of all of them in one packed call (the scan
+service's launch groups).  When ``options.tracer`` is
 armed, the search records a span tree (search -> stage -> kernel, with schedule
 and shard levels added by the service executors) carrying stage
 funnels, kernel counters, occupancy and memory-config choices; with the
@@ -29,6 +32,7 @@ import numpy as np
 from ..cpu.forward_batch import forward_score_batch
 from ..cpu.generic import GenericProfile, generic_forward_score
 from ..cpu.msv_reference import msv_score_sequence
+from ..cpu.packing import PackedGenericProfile, PackedWordProfile, pack_batch
 from ..cpu.viterbi_reference import viterbi_score_sequence
 from ..errors import DivergenceError, PipelineError
 from ..gpu.counters import KernelCounters
@@ -47,7 +51,7 @@ from .oracle import FORWARD_ABS_TOL, Divergence, OracleReport, sample_indices, s
 from .results import SearchHit, SearchResults, StageStats
 from .stats import bits_from_nats
 
-__all__ = ["PipelineThresholds", "HmmsearchPipeline"]
+__all__ = ["PipelineThresholds", "HmmsearchPipeline", "search_group"]
 
 
 class HmmsearchPipeline:
@@ -107,29 +111,6 @@ class HmmsearchPipeline:
             )
         )
 
-    # -- stage engines ------------------------------------------------------
-
-    def _score_filter(
-        self, stage_name, profile, db, opts, counters,
-        executor=None, guard=None,
-    ):
-        """Score one accelerated filter stage (MSV or P7Viterbi).
-
-        Dispatch goes through the engine registry: the stage's resolved
-        :class:`~repro.engines.EngineSpec` owns the scoring strategy
-        (reference batch, warp kernel, cross-sequence batched kernel,
-        process pool).  The device-pool ``executor`` is handed only to
-        ``pooled`` engines - the others score in-process and the
-        sharded-retry machinery never sees them.
-        """
-        spec = opts.engine.spec_for(stage_name)
-        return spec.scorer(
-            stage_name, profile, db,
-            opts=opts, counters=counters, guard=guard,
-            executor=executor if spec.pooled else None,
-            M=self.profile.M,
-        )
-
     # -- search ---------------------------------------------------------------
 
     def search(
@@ -172,215 +153,10 @@ class HmmsearchPipeline:
         ``stage`` span per pipeline stage (funnel counters attached) and
         a ``kernel`` span per kernel launch; tracing never changes
         scores, hits or stats - the invariant the test suite pins.
+
+        This is the one-model case of :func:`search_group`.
         """
-        opts = options if options is not None else SearchOptions()
-        tracer = opts.tracer
-        n = len(database)
-        M = self.profile.M
-        null_len = self.calibration.null_length_nats
-        th = opts.thresholds or self.thresholds
-        counters: dict[str, KernelCounters] = {}
-
-        with span(
-            tracer, f"search:{self.hmm.name}", "search",
-            query=self.hmm.name, database=database.name,
-            engine=opts.engine.value, M=M,
-        ) as search_span:
-            if search_span is not None:
-                search_span.count(targets=n, residues=database.total_residues)
-
-            # ---- stage 1: MSV filter over everything ----
-            guard1 = GuardrailCounters() if opts.guard else None
-            with span(tracer, "msv", "stage", stage="msv") as st_span:
-                msv_scores = self._score_filter(
-                    "msv", self.byte_profile,
-                    database, opts, counters, executor, guard1,
-                )
-                if guard1 is not None:
-                    guard1.overflows += int(
-                        np.count_nonzero(msv_scores.overflowed)
-                    )
-                msv_bits = np.asarray(
-                    bits_from_nats(msv_scores.scores, null_len)
-                )
-                msv_p = self.calibration.msv.pvalue(msv_bits)
-                pass1 = np.flatnonzero(msv_p < th.f1)
-                stage1 = StageStats(
-                    name="msv",
-                    n_in=n,
-                    n_out=int(pass1.size),
-                    rows=database.total_residues,
-                    cells=database.total_residues * M,
-                    guard=guard1,
-                )
-                if st_span is not None:
-                    st_span.count(
-                        n_in=stage1.n_in, n_out=stage1.n_out,
-                        rows=stage1.rows, cells=stage1.cells,
-                    )
-
-            # ---- stage 2: P7Viterbi over MSV survivors ----
-            vit_bits = np.full(n, np.nan)
-            vit_p = np.full(n, np.nan)
-            pass2 = np.array([], dtype=np.int64)
-            rows2 = 0
-            guard2 = GuardrailCounters() if opts.guard else None
-            vit_nats: dict[int, float] = {}
-            with span(tracer, "p7viterbi", "stage", stage="p7viterbi") as st_span:
-                if pass1.size:
-                    sub = database.subset(pass1.tolist())
-                    rows2 = sub.total_residues
-                    vit_scores = self._score_filter(
-                        "p7viterbi", self.word_profile,
-                        sub, opts, counters, executor, guard2,
-                    )
-                    if guard2 is not None:
-                        guard2.overflows += int(
-                            np.count_nonzero(vit_scores.overflowed)
-                        )
-                        guard2.underflows += int(
-                            np.count_nonzero(np.isneginf(vit_scores.scores))
-                        )
-                    vit_nats = {
-                        int(i): float(s)
-                        for i, s in zip(pass1, vit_scores.scores)
-                    }
-                    vb = np.asarray(bits_from_nats(vit_scores.scores, null_len))
-                    vit_bits[pass1] = vb
-                    vp = self.calibration.vit.pvalue(vb)
-                    vit_p[pass1] = vp
-                    pass2 = pass1[vp < th.f2]
-                stage2 = StageStats(
-                    name="p7viterbi",
-                    n_in=int(pass1.size),
-                    n_out=int(pass2.size),
-                    rows=rows2,
-                    cells=rows2 * M,
-                    guard=guard2,
-                )
-                if st_span is not None:
-                    st_span.count(
-                        n_in=stage2.n_in, n_out=stage2.n_out,
-                        rows=stage2.rows, cells=stage2.cells,
-                    )
-
-            # ---- stage 3: Forward over Viterbi survivors (always CPU) ----
-            fwd_bits = np.full(n, np.nan)
-            fwd_p = np.full(n, np.nan)
-            hits: list[SearchHit] = []
-            rows3 = 0
-            guard3 = GuardrailCounters() if opts.guard else None
-            fwd_nats: dict[int, float] = {}
-            with span(tracer, "forward", "stage", stage="forward") as st_span:
-                if pass2.size:
-                    sub3 = database.subset(pass2.tolist())
-                    with span(
-                        tracer, "forward_batch", "kernel",
-                        stage="forward", engine="cpu_generic",
-                    ) as ks:
-                        batch_nats = forward_score_batch(
-                            self.generic_profile, sub3, guard=guard3
-                        )
-                        if ks is not None:
-                            ks.count(
-                                rows=sub3.total_residues, sequences=len(sub3)
-                            )
-                    fwd_nats = {
-                        int(idx): float(v)
-                        for idx, v in zip(pass2, batch_nats)
-                    }
-                for idx in pass2:
-                    seq = database[int(idx)]
-                    rows3 += len(seq)
-                    nats = fwd_nats[int(idx)]
-                    fb = float(bits_from_nats(nats, null_len))
-                    fwd_bits[idx] = fb
-                    fp = float(self.calibration.fwd.pvalue(fb))
-                    fwd_p[idx] = fp
-                    if fp < th.f3:
-                        evalue = fp * n
-                        if evalue <= th.report_evalue:
-                            aln = None
-                            if opts.alignments:
-                                from ..cpu.traceback import viterbi_traceback
-
-                                aln = viterbi_traceback(
-                                    self.generic_profile, seq.codes
-                                )
-                            hits.append(
-                                SearchHit(
-                                    name=seq.name,
-                                    index=int(idx),
-                                    length=len(seq),
-                                    msv_bits=float(msv_bits[idx]),
-                                    msv_p=float(msv_p[idx]),
-                                    vit_bits=float(vit_bits[idx]),
-                                    vit_p=float(vit_p[idx]),
-                                    fwd_bits=fb,
-                                    fwd_p=fp,
-                                    evalue=evalue,
-                                    alignment=aln,
-                                )
-                            )
-                n_pass3 = sum(1 for idx in pass2 if fwd_p[idx] < th.f3)
-                stage3 = StageStats(
-                    name="forward",
-                    n_in=int(pass2.size),
-                    n_out=int(n_pass3),
-                    rows=rows3,
-                    cells=rows3 * M,
-                    guard=guard3,
-                )
-                if st_span is not None:
-                    st_span.count(
-                        n_in=stage3.n_in, n_out=stage3.n_out,
-                        rows=stage3.rows, cells=stage3.cells,
-                    )
-
-            # ---- differential oracle over a deterministic sample ----
-            oracle = None
-            if opts.selfcheck > 0:
-                oracle = self._run_oracle(
-                    database, opts.selfcheck, msv_scores.scores,
-                    vit_nats, fwd_nats,
-                )
-                if not oracle.ok:
-                    if not opts.policy.salvage:
-                        raise DivergenceError(
-                            f"query {self.hmm.name!r} vs database "
-                            f"{database.name!r}: engine scores diverged from "
-                            "the scalar reference - "
-                            + "; ".join(
-                                d.describe() for d in oracle.divergences[:3]
-                            )
-                        )
-                    q = (
-                        opts.quarantine
-                        if opts.quarantine is not None
-                        else RecordQuarantine()
-                    )
-                    diverged = {d.index for d in oracle.divergences}
-                    for d in oracle.divergences:
-                        q.add(
-                            database.name, 0, d.sequence, d.describe(),
-                            kind="divergence",
-                        )
-                    hits = [h for h in hits if h.index not in diverged]
-
-            hits.sort(key=lambda h: (h.evalue, h.name))
-            if search_span is not None:
-                search_span.count(hits=len(hits))
-        return SearchResults(
-            query_name=self.hmm.name,
-            n_targets=n,
-            hits=hits,
-            stages=[stage1, stage2, stage3],
-            msv_bits=msv_bits,
-            vit_bits=vit_bits,
-            fwd_bits=fwd_bits,
-            counters=counters,
-            oracle=oracle,
-        )
+        return search_group([self], database, options, executor=executor)[0]
 
     def _run_oracle(
         self,
@@ -461,3 +237,294 @@ class HmmsearchPipeline:
             f"HmmsearchPipeline({self.hmm.name!r}, M={self.profile.M}, "
             f"L={self.profile.L})"
         )
+
+
+def _score_filter(stage, profile, db, opts, counters, executor, guard, M):
+    """Score one accelerated filter stage (MSV or P7Viterbi).
+
+    Dispatch goes through the engine registry: the stage's resolved
+    :class:`~repro.engines.EngineSpec` owns the scoring strategy
+    (reference batch, warp kernel, cross-sequence batched kernel,
+    process pool).  The device-pool ``executor`` is handed only to
+    ``pooled`` engines - the others score in-process and the
+    sharded-retry machinery never sees them.
+    """
+    spec = opts.engine.spec_for(stage)
+    return spec.scorer(
+        stage, profile, db,
+        opts=opts, counters=counters, guard=guard,
+        executor=executor if spec.pooled else None,
+        M=M,
+    )
+
+
+def _survivor_call(database, base, survivors, profiles, packer, accs):
+    """The arguments of one survivor stage's call over several models.
+
+    ``survivors[g]`` are model ``g``'s surviving database indices.  The
+    models with survivors are scored together: one model alone is an
+    ordinary call on its database subset with its own profile and
+    accumulators; several are one packed call (:mod:`repro.cpu.packing`)
+    on a model-major lane batch, with per-model accumulator lists.
+    Returns ``(models, profile, batch, accs, lane slices)``, or None
+    when no model has survivors.  ``base()`` gives the database's
+    padded batch, built only when a call packs.
+    """
+    models = [g for g, idx in enumerate(survivors) if idx.size]
+    if not models:
+        return None
+    bounds = np.cumsum([0] + [survivors[g].size for g in models])
+    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    if len(models) == 1:
+        g = models[0]
+        return (models, profiles[g], database.subset(survivors[g].tolist()),
+                [a[g] for a in accs], slices)
+    batch = pack_batch(base(), [survivors[g] for g in models])
+    packed_accs = [None if a[models[0]] is None else [a[g] for g in models]
+                   for a in accs]
+    return (models, packer([profiles[g] for g in models]), batch,
+            packed_accs, slices)
+
+
+def search_group(
+    pipelines,
+    database: SequenceDatabase,
+    options: SearchOptions | None = None,
+    *,
+    executor: object | None = None,
+) -> list[SearchResults]:
+    """Run several models' three-stage pipelines over one database.
+
+    The scan service runs one call per launch group.  MSV is one engine
+    call per model; P7Viterbi is one engine call over every model's MSV
+    survivors and Forward one call over every model's P7Viterbi
+    survivors, packed (:mod:`repro.cpu.packing`) so that a stage keeps
+    many DP problems in flight per call.  Everything per model - scores,
+    P-values, thresholds, hits, :class:`StageStats`, guardrail and
+    kernel counters, the selfcheck oracle - is what
+    :meth:`HmmsearchPipeline.search` alone gives; see that method for
+    ``options``.  One ``search`` span covers the group, with one stage
+    span per stage.  ``executor`` is for one-model searches only.
+    """
+    pipes = list(pipelines)
+    if executor is not None and len(pipes) != 1:
+        raise PipelineError("an executor dispatches one model's search only")
+    opts = options if options is not None else SearchOptions()
+    tracer = opts.tracer
+    n = len(database)
+    G = len(pipes)
+    names = [pipe.hmm.name for pipe in pipes]
+    Ms = [pipe.profile.M for pipe in pipes]
+    null_len = [pipe.calibration.null_length_nats for pipe in pipes]
+    ths = [opts.thresholds or pipe.thresholds for pipe in pipes]
+    counters: list[dict[str, KernelCounters]] = [{} for _ in pipes]
+    stages: list[list[StageStats]] = [[] for _ in pipes]
+    padded: list = []
+
+    def base():
+        if not padded:
+            padded.append(database.padded_batch())
+        return padded[0]
+
+    def guards():
+        return [GuardrailCounters() if opts.guard else None for _ in pipes]
+
+    def close_stage(st_span, name, n_in, n_out, rows, guard):
+        for g in range(G):
+            stages[g].append(StageStats(
+                name=name, n_in=int(n_in[g]), n_out=int(n_out[g]),
+                rows=int(rows[g]), cells=int(rows[g]) * Ms[g], guard=guard[g],
+            ))
+        if st_span is not None:
+            st_span.count(
+                n_in=sum(int(x) for x in n_in),
+                n_out=sum(int(x) for x in n_out),
+                rows=sum(int(x) for x in rows),
+                cells=sum(int(r) * M for r, M in zip(rows, Ms)),
+            )
+
+    with span(
+        tracer, "search:" + "+".join(names), "search",
+        query="+".join(names), database=database.name,
+        engine=opts.engine.value, M=max(Ms),
+    ) as search_span:
+        if search_span is not None:
+            search_span.count(targets=n * G,
+                              residues=database.total_residues * G)
+
+        # ---- stage 1: MSV filter over everything, one call per model ----
+        guard1 = guards()
+        msv_nats, msv_bits, msv_p, pass1 = [], [], [], []
+        with span(tracer, "msv", "stage", stage="msv") as st_span:
+            for g, pipe in enumerate(pipes):
+                scores = _score_filter(
+                    "msv", pipe.byte_profile, database, opts, counters[g],
+                    executor, guard1[g], Ms[g],
+                )
+                if guard1[g] is not None:
+                    guard1[g].overflows += int(
+                        np.count_nonzero(scores.overflowed)
+                    )
+                bits = np.asarray(bits_from_nats(scores.scores, null_len[g]))
+                p = pipe.calibration.msv.pvalue(bits)
+                msv_nats.append(scores.scores)
+                msv_bits.append(bits)
+                msv_p.append(p)
+                pass1.append(np.flatnonzero(p < ths[g].f1))
+            close_stage(st_span, "msv", [n] * G, [x.size for x in pass1],
+                        [database.total_residues] * G, guard1)
+
+        # ---- stage 2: P7Viterbi over every model's MSV survivors ----
+        vit_bits = [np.full(n, np.nan) for _ in pipes]
+        vit_p = [np.full(n, np.nan) for _ in pipes]
+        vit_nats: list[dict[int, float]] = [{} for _ in pipes]
+        pass2 = [np.array([], dtype=np.int64) for _ in pipes]
+        guard2 = guards()
+        with span(tracer, "p7viterbi", "stage", stage="p7viterbi") as st_span:
+            call = _survivor_call(
+                database, base, pass1, [p.word_profile for p in pipes],
+                PackedWordProfile.pack, (counters, guard2),
+            )
+            if call is not None:
+                models, profile, sub, (c2, g2), slices = call
+                scores = _score_filter(
+                    "p7viterbi", profile, sub, opts, c2, executor, g2,
+                    max(Ms[g] for g in models),
+                )
+                for g, lanes in zip(models, slices):
+                    got = scores.scores[lanes]
+                    if guard2[g] is not None:
+                        guard2[g].overflows += int(
+                            np.count_nonzero(scores.overflowed[lanes])
+                        )
+                        guard2[g].underflows += int(
+                            np.count_nonzero(np.isneginf(got))
+                        )
+                    vit_nats[g] = {
+                        int(i): float(v) for i, v in zip(pass1[g], got)
+                    }
+                    vb = np.asarray(bits_from_nats(got, null_len[g]))
+                    vit_bits[g][pass1[g]] = vb
+                    vp = pipes[g].calibration.vit.pvalue(vb)
+                    vit_p[g][pass1[g]] = vp
+                    pass2[g] = pass1[g][vp < ths[g].f2]
+            close_stage(
+                st_span, "p7viterbi", [x.size for x in pass1],
+                [x.size for x in pass2],
+                [int(database.lengths[x].sum()) for x in pass1], guard2,
+            )
+
+        # ---- stage 3: Forward over every model's survivors (always CPU) ----
+        fwd_bits = [np.full(n, np.nan) for _ in pipes]
+        fwd_p = [np.full(n, np.nan) for _ in pipes]
+        fwd_nats: list[dict[int, float]] = [{} for _ in pipes]
+        hits: list[list[SearchHit]] = [[] for _ in pipes]
+        guard3 = guards()
+        with span(tracer, "forward", "stage", stage="forward") as st_span:
+            call = _survivor_call(
+                database, base, pass2, [p.generic_profile for p in pipes],
+                PackedGenericProfile.pack, (guard3,),
+            )
+            if call is not None:
+                models, profile, sub, (g3,), slices = call
+                with span(
+                    tracer, "forward_batch", "kernel",
+                    stage="forward", engine="cpu_generic",
+                ) as ks:
+                    batch_nats = forward_score_batch(profile, sub, guard=g3)
+                    if ks is not None:
+                        ks.count(rows=int(np.sum(sub.lengths)),
+                                 sequences=len(batch_nats))
+                for g, lanes in zip(models, slices):
+                    fwd_nats[g] = {
+                        int(i): float(v)
+                        for i, v in zip(pass2[g], batch_nats[lanes])
+                    }
+            n_pass3 = [0] * G
+            for g, pipe in enumerate(pipes):
+                for idx in pass2[g]:
+                    fb = float(bits_from_nats(fwd_nats[g][int(idx)],
+                                              null_len[g]))
+                    fwd_bits[g][idx] = fb
+                    fp = float(pipe.calibration.fwd.pvalue(fb))
+                    fwd_p[g][idx] = fp
+                    if fp >= ths[g].f3:
+                        continue
+                    n_pass3[g] += 1
+                    evalue = fp * n
+                    if evalue > ths[g].report_evalue:
+                        continue
+                    seq = database[int(idx)]
+                    aln = None
+                    if opts.alignments:
+                        from ..cpu.traceback import viterbi_traceback
+
+                        aln = viterbi_traceback(
+                            pipe.generic_profile, seq.codes
+                        )
+                    hits[g].append(
+                        SearchHit(
+                            name=seq.name,
+                            index=int(idx),
+                            length=len(seq),
+                            msv_bits=float(msv_bits[g][idx]),
+                            msv_p=float(msv_p[g][idx]),
+                            vit_bits=float(vit_bits[g][idx]),
+                            vit_p=float(vit_p[g][idx]),
+                            fwd_bits=fb,
+                            fwd_p=fp,
+                            evalue=evalue,
+                            alignment=aln,
+                        )
+                    )
+            close_stage(
+                st_span, "forward", [x.size for x in pass2], n_pass3,
+                [int(database.lengths[x].sum()) for x in pass2], guard3,
+            )
+
+        # ---- differential oracle over a deterministic sample ----
+        results = []
+        for g, pipe in enumerate(pipes):
+            oracle = None
+            if opts.selfcheck > 0:
+                oracle = pipe._run_oracle(
+                    database, opts.selfcheck, msv_nats[g],
+                    vit_nats[g], fwd_nats[g],
+                )
+                if not oracle.ok:
+                    if not opts.policy.salvage:
+                        raise DivergenceError(
+                            f"query {names[g]!r} vs database "
+                            f"{database.name!r}: engine scores diverged from "
+                            "the scalar reference - "
+                            + "; ".join(
+                                d.describe() for d in oracle.divergences[:3]
+                            )
+                        )
+                    q = (
+                        opts.quarantine
+                        if opts.quarantine is not None
+                        else RecordQuarantine()
+                    )
+                    diverged = {d.index for d in oracle.divergences}
+                    for d in oracle.divergences:
+                        q.add(
+                            database.name, 0, d.sequence, d.describe(),
+                            kind="divergence",
+                        )
+                    hits[g] = [h for h in hits[g] if h.index not in diverged]
+            hits[g].sort(key=lambda h: (h.evalue, h.name))
+            results.append(SearchResults(
+                query_name=names[g],
+                n_targets=n,
+                hits=hits[g],
+                stages=stages[g],
+                msv_bits=msv_bits[g],
+                vit_bits=vit_bits[g],
+                fwd_bits=fwd_bits[g],
+                counters=counters[g],
+                oracle=oracle,
+            ))
+        if search_span is not None:
+            search_span.count(hits=sum(len(h) for h in hits))
+    return results

@@ -9,7 +9,7 @@ and a traced run produces the familiar span tree::
 
     job scan:<library>
       schedule bucket:small          (shared-memory kernels, co-scheduled)
-        search ... stage ... kernel  (one subtree per model)
+        search ... stage ... kernel  (one subtree per launch group)
       schedule bucket:large          (global-memory kernels)
         ...
 
@@ -39,6 +39,7 @@ from ..gpu.counters import KernelCounters
 from ..kernels.memconfig import Stage
 from ..obs.span import Tracer, span
 from ..options import PipelineThresholds, SearchOptions
+from ..pipeline.pipeline import search_group
 from ..pipeline.results import StageStats
 from ..sequence.database import SequenceDatabase
 from ..service.devices import DevicePool, DeviceSlot
@@ -463,38 +464,45 @@ class ScanService:
             device=slot.spec if slot is not None else sopts.device,
             config=bucket.config,
         )
-        merged = KernelCounters()
+        entries = [self.catalog.get(name) for name in names]
         try:
-            for name in names:
-                entry = self.catalog.get(name)
-                results = entry.pipeline().search(database, group_opts)
-                model_stages[name] = results.stages
-                for c in results.counters.values():
-                    merged.merge(c)
-                for h in results.hits:
-                    evalue = h.fwd_p * n_models
-                    if evalue > th.report_evalue:
-                        continue
-                    hits.append(
-                        LibraryScanHit(
-                            sequence_name=h.name,
-                            sequence_index=h.index,
-                            model_name=name,
-                            M=entry.M,
-                            msv_bits=h.msv_bits,
-                            vit_bits=h.vit_bits,
-                            fwd_bits=h.fwd_bits,
-                            fwd_p=h.fwd_p,
-                            evalue=evalue,
-                        )
-                    )
-        finally:
+            group = search_group(
+                [entry.pipeline() for entry in entries], database, group_opts
+            )
+        except BaseException:
+            # a failed launch is neither a dispatch nor a success: the
+            # slot keeps its health state and the error propagates
             if slot is not None:
-                slot.record(
-                    len(database) * len(names),
-                    database.total_residues * len(names),
-                    merged,
-                )
-                slot.mark_success()
                 slot.release()
+            raise
+        merged = KernelCounters()
+        for name, entry, results in zip(names, entries, group):
+            model_stages[name] = results.stages
+            for c in results.counters.values():
+                merged.merge(c)
+            for h in results.hits:
+                evalue = h.fwd_p * n_models
+                if evalue > th.report_evalue:
+                    continue
+                hits.append(
+                    LibraryScanHit(
+                        sequence_name=h.name,
+                        sequence_index=h.index,
+                        model_name=name,
+                        M=entry.M,
+                        msv_bits=h.msv_bits,
+                        vit_bits=h.vit_bits,
+                        fwd_bits=h.fwd_bits,
+                        fwd_p=h.fwd_p,
+                        evalue=evalue,
+                    )
+                )
+        if slot is not None:
+            slot.record(
+                len(database) * len(names),
+                database.total_residues * len(names),
+                merged,
+            )
+            slot.mark_success()
+            slot.release()
         return fallback

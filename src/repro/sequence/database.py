@@ -32,11 +32,17 @@ class PaddedBatch:
         are filled with ``pad_code`` (an out-of-band value, 31).
     lengths:
         ``(n_seqs,)`` int64 true lengths.
+    models:
+        ``(n_seqs,)`` model index of each lane in a model-packed call
+        (:mod:`repro.cpu.packing`), or None when every lane is scored by
+        the one profile of the call.  Any lane subset or reorder must
+        take the matching entries along.
     """
 
     codes: np.ndarray
     lengths: np.ndarray
     pad_code: int = 31
+    models: np.ndarray | None = None
 
     @property
     def n_seqs(self) -> int:

@@ -4,11 +4,16 @@ structure, scheduling statistics, and one-sequence (hmmscan) queries."""
 import numpy as np
 import pytest
 
+import repro.pipeline.pipeline as pipeline_module
+from repro.cpu.packing import PackedGenericProfile
+from repro.errors import DivergenceError, KernelError
+from repro.hardening import IngestPolicy, RecordQuarantine
 from repro.hmm import sample_hmm
 from repro.obs.span import Tracer
 from repro.options import PipelineThresholds, SearchOptions
 from repro.scan import LibraryCatalog, PressSettings, ScanOptions, ScanService
 from repro.service import DevicePool, FaultPlan, MetricsRegistry
+from repro.service.devices import DeviceHealth
 from repro.sequence import SequenceDatabase
 from repro.sequence.synthetic import homolog_database
 
@@ -37,6 +42,17 @@ def database(models):
         10, 90.0, np.random.default_rng(5), hmm=models[1],
         homolog_fraction=0.5, name="targets",
     )
+
+
+@pytest.fixture(scope="module")
+def two_families(models, database):
+    """Homologs of two library models: both reach Forward, so the
+    P7Viterbi and Forward stages each pack more than one model."""
+    other = homolog_database(
+        10, 90.0, np.random.default_rng(7), hmm=models[2],
+        homolog_fraction=0.5, name="other",
+    )
+    return SequenceDatabase(list(database) + list(other), name="two")
 
 
 def _one(seq):
@@ -159,6 +175,87 @@ class TestInvariance:
         assert _keys(traced) == _keys(plain)
 
 
+    def test_failed_group_keeps_slot_health(self, catalog, database,
+                                            monkeypatch):
+        pool = DevicePool.homogeneous(count=1)
+        slot = pool.slots[0]
+        slot.mark_failure(pool.advance())
+        slot.mark_failure(pool.advance())
+        assert slot.health is DeviceHealth.DEGRADED and slot.strikes == 2
+
+        def broken(*args, **kwargs):
+            raise KernelError("kernel launch failed")
+
+        monkeypatch.setattr("repro.kernels.msv_warp.msv_warp_kernel", broken)
+        service = ScanService(catalog, pool=pool, fault_plan=FaultPlan([]))
+        with pytest.raises(KernelError, match="kernel launch failed"):
+            service.scan(database, ScanOptions(engine="gpu_warp"))
+        # a launch that raised is neither a dispatch nor a success
+        assert slot.health is DeviceHealth.DEGRADED and slot.strikes == 2
+        assert slot.dispatches == 0 and slot.sequences == 0
+        assert not slot.inflight
+
+
+class TestSelfcheck:
+    """The runtime differential oracle covers scans, packed stages too."""
+
+    def test_selfcheck_finds_no_divergence(self, catalog, two_families,
+                                           monkeypatch):
+        reports = []
+        run_oracle = pipeline_module.HmmsearchPipeline._run_oracle
+
+        def spy(self, *args):
+            reports.append((self.hmm.name, run_oracle(self, *args)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(pipeline_module.HmmsearchPipeline,
+                            "_run_oracle", spy)
+        plain = ScanService(catalog).scan(two_families)
+        quarantine = RecordQuarantine()
+        checked = ScanService(catalog).scan(two_families, ScanOptions(
+            search=SearchOptions(selfcheck=20, quarantine=quarantine,
+                                 policy=IngestPolicy.from_name("salvage")),
+        ))
+        assert _keys(checked) == _keys(plain)
+        assert len(quarantine) == 0
+        assert sorted(name for name, _ in reports) == sorted(
+            checked.model_stages)  # one report per model
+        for name, report in reports:
+            assert report.ok and report.checked == 20
+            # every sequence is sampled, so each packed stage's
+            # survivors were compared as well
+            _, vit, fwd = checked.model_stages[name]
+            assert report.comparisons == 20 + vit.n_in + fwd.n_in
+        packed = [st for st in checked.model_stages.values() if st[2].n_in]
+        assert len(packed) >= 2
+
+    def test_perturbed_packed_forward_raises(self, catalog, two_families,
+                                             monkeypatch):
+        real = pipeline_module.forward_score_batch
+        perturbed = []
+
+        def skewed(profile, batch, guard=None):
+            nats = real(profile, batch, guard)
+            if isinstance(profile, PackedGenericProfile):
+                # shift the first lane of the M=40 model
+                g = int(np.flatnonzero(profile.Ms == 40)[0])
+                lane = int(np.flatnonzero(batch.models == g)[0])
+                nats[lane] += 1.0
+                perturbed.append(lane)
+            return nats
+
+        monkeypatch.setattr(pipeline_module, "forward_score_batch", skewed)
+        with pytest.raises(DivergenceError) as err:
+            ScanService(catalog).scan(two_families, ScanOptions(
+                search=SearchOptions(selfcheck=20)))
+        assert perturbed
+        message = str(err.value)
+        assert "query 'fam40'" in message
+        assert "forward: sequence" in message
+        named = [s.name for s in two_families if f"{s.name!r}" in message]
+        assert len(named) == 1
+
+
 class TestScheduling:
     def test_bucket_stats_reflect_plan(self, catalog, database):
         results = ScanService(catalog).scan(database)
@@ -221,8 +318,12 @@ class TestObservability:
         assert scheds[0].name == "bucket:small"
         assert scheds[0].tags["crossover"] > 0
         searches = tracer.spans("search")
-        assert len(searches) == 3  # one per model
-        assert len(tracer.spans("stage")) >= 3  # at least one MSV each
+        assert len(searches) == 1  # one per launch group
+        assert set(searches[0].tags["query"].split("+")) == {
+            e.name for e in catalog.entries()}
+        # one span per stage, each stage one call past MSV
+        assert [s.name for s in tracer.spans("stage")] == [
+            "msv", "p7viterbi", "forward"]
 
     def test_job_span_feeds_metrics(self, catalog, database):
         tracer = Tracer()
