@@ -9,6 +9,7 @@ from repro.cpu.mp_backend import chunk_seed, mp_score_stage
 from repro.gpu import KernelCounters
 from repro.hmm import SearchProfile, sample_hmm
 from repro.scoring import MSVByteProfile, ViterbiWordProfile
+from repro.sequence.database import PaddedBatch
 from repro.sequence.synthetic import homolog_database
 
 
@@ -54,6 +55,14 @@ class TestDeterminism:
         assert parallel.sequences == serial.sequences == len(db)
         assert parallel.rows == serial.rows
         assert parallel.cells == serial.cells
+
+    def test_empty_batch_scores_inline(self, workload):
+        _, vp_prof, _ = workload
+        empty = PaddedBatch(codes=np.zeros((0, 0), dtype=np.uint8),
+                            lengths=np.zeros(0, dtype=np.int64), pad_code=0)
+        got = mp_score_stage("p7viterbi", vp_prof, empty, workers=2,
+                             inner="gpu_warp_batched")
+        assert got.scores.shape == got.overflowed.shape == (0,)
 
 
 class TestChunkSeed:
