@@ -4,11 +4,11 @@ Architecture-Aware Optimization on Massively Parallel Processors"
 
 The package contains a from-scratch HMMER 3.0 ``hmmsearch`` engine
 (Plan-7 profile HMMs, the quantized MSV and ViterbiFilter scoring
-systems, striped SSE baselines, full-precision Forward/Backward, the
-filter pipeline with Gumbel/exponential statistics) plus a simulated
-SIMT GPU substrate on which the paper's warp-synchronous kernels run
-with bit-identical scores, and a mechanistic performance model that
-regenerates every figure of the paper's evaluation.
+systems, full-precision Forward/Backward, the filter pipeline with
+Gumbel/exponential statistics) plus a simulated SIMT GPU substrate on
+which the paper's warp-synchronous kernels run with bit-identical
+scores, and a mechanistic performance model that regenerates every
+figure of the paper's evaluation.
 
 The supported import surface is the :mod:`repro.api` facade::
 

@@ -11,7 +11,7 @@ the abstract interval the interpreter derived for it and a status:
     never wrap;
 ``by_helper``
     the value flows through one of the audited saturation helpers
-    (``sat_add_u8`` / ``sat_add_i16`` / ``clip_i16`` / ``floor_i16`` /
+    (``sat_add_u8`` / ``sat_add_i16`` / ``clip_i16`` /
     ``np.clip`` with constant saturation bounds), whose summaries clamp
     the interval by construction;
 ``unproven``
@@ -36,10 +36,10 @@ Documented assumptions (see docs/static_analysis.md):
 * ``np.empty`` carriers are written before they are read (they are
   tagged with the empty interval); wide ``np.empty`` scratch is not a
   system carrier until written;
-* cross-module helper summaries (``stripe_array``/``shfl_up`` hulling
-  their fill value) match the helpers' own verified behaviour;
-* inlined intra-module callees are additionally analyzed standalone
-  with parameter seeds that subsume every actual call.
+* cross-module helper summaries (``max_i16``, the warp max reductions)
+  match the helpers' own verified behaviour;
+* inlined intra-module callees are additionally analyzed standalone,
+  their unannotated parameters seeded with the top interval.
 """
 
 from __future__ import annotations
@@ -74,16 +74,13 @@ DTYPE_RANGES: Dict[str, Tuple[float, float]] = {
     "i64": (float(-(2**63)), float(2**63 - 1)),
 }
 
-#: Modules the prover certifies (kernels, striped CPU baselines, and
-#: the construction-time quantizer encode steps that define the seeds).
+#: Modules the prover certifies (the kernels, the CPU lockstep scorers
+#: they share, and the construction-time quantizer encode steps that
+#: define the seeds).
 PROVE_TARGETS: Tuple[str, ...] = (
     "src/repro/kernels/msv_warp.py",
     "src/repro/kernels/viterbi_warp.py",
     "src/repro/kernels/batched.py",
-    "src/repro/kernels/prefix_scan.py",
-    "src/repro/cpu/striped.py",
-    "src/repro/cpu/msv_striped.py",
-    "src/repro/cpu/viterbi_striped.py",
     "src/repro/cpu/msv_reference.py",
     "src/repro/cpu/viterbi_reference.py",
     "src/repro/scoring/msv_profile.py",
@@ -103,10 +100,6 @@ _MODULE_SYSTEMS: Dict[str, Optional[str]] = {
     "src/repro/kernels/msv_warp.py": "u8",
     "src/repro/kernels/viterbi_warp.py": "i16",
     "src/repro/kernels/batched.py": None,
-    "src/repro/kernels/prefix_scan.py": "i16",
-    "src/repro/cpu/striped.py": None,
-    "src/repro/cpu/msv_striped.py": "u8",
-    "src/repro/cpu/viterbi_striped.py": "i16",
     "src/repro/cpu/msv_reference.py": "u8",
     "src/repro/cpu/viterbi_reference.py": "i16",
     "src/repro/scoring/msv_profile.py": "u8",
@@ -117,7 +110,6 @@ _SYSTEM_OF_PROFILE = {
     "MSVByteProfile": "u8",
     "ViterbiWordProfile": "i16",
     "PackedWordProfile": "i16",
-    "StripedViterbiProfile": "i16",
 }
 
 #: Quantization constants resolvable by (final) name.
@@ -130,9 +122,6 @@ KNOWN_CONSTANTS: Dict[str, int] = {
     "U8_ZERO": 0,
     "I16_NEG_INF": -32768,
     "WARP_SIZE": 32,
-    "SCAN_STEPS": 5,
-    "SSE_BYTE_LANES": 16,
-    "SSE_WORD_LANES": 8,
 }
 
 _CAST_NAMES = {"uint8": "u8", "int16": "i16", "int32": "i32", "int64": "i64"}
@@ -324,36 +313,6 @@ PROFILE_SEEDS: Dict[str, Dict[str, AbsVal]] = {
         "overflow_threshold": mk(32767, 32767),
         "init_xB": mk(-20768, 12000),
     },
-    "StripedViterbiProfile": {
-        "base": AbsVal(kind="obj", obj_types=("ViterbiWordProfile",)),
-        "lanes": mk(2, INF),
-        "Q": mk(1, INF),
-        "rwv": mk(**_I16),
-        "enter_mm": mk(**_NEG_I16),
-        "enter_im": mk(**_NEG_I16),
-        "enter_dm": mk(**_NEG_I16),
-        "tmi": mk(**_NEG_I16),
-        "tii": mk(**_NEG_I16),
-        "tmd": mk(**_NEG_I16),
-        "tdd": mk(**_NEG_I16),
-    },
-}
-
-_SCAN_FLOOR = float(-(1 << 40))
-
-#: Extra parameter seeds for intra-module helpers that are *also*
-#: inlined at their call sites; the seeds subsume every actual
-#: argument (checked by the callers' own certificates).
-PARAM_SEEDS: Dict[Tuple[str, str, str], AbsVal] = {
-    ("prefix_scan.py", "_window_scan", "s"): mk(_SCAN_FLOOR, 32767),
-    ("prefix_scan.py", "_window_scan", "t"): mk(_SCAN_FLOOR, 0),
-    ("prefix_scan.py", "_window_scan", "carry"): mk(_SCAN_FLOOR, 32767),
-    ("prefix_scan.py", "prefix_scan_d_chain", "D"): mk(-32768, 32767, tagged="i16"),
-    ("prefix_scan.py", "prefix_scan_d_chain", "tdd_enter"): mk(-32768, 0),
-    ("viterbi_striped.py", "_lazy_f", "DMX"): mk(-32768, 32767, tagged="i16"),
-    ("viterbi_striped.py", "_lazy_f", "dcv"): mk(-32768, 32767),
-    ("viterbi_striped.py", "_lazy_f", "tdd"): mk(-32768, 0),
-    ("msv_striped.py", "msv_score_sequence_striped", "striped_rbv"): mk(0, 255),
 }
 
 
@@ -495,7 +454,6 @@ class _ModuleCtx:
     system: Optional[str]
     functions: Dict[str, ast.FunctionDef]
     module_env: Dict[str, AbsVal]
-    basename: str
 
 
 def _annotation_names(node: Optional[ast.AST]) -> List[str]:
@@ -522,10 +480,7 @@ def _fn_system(fn: ast.FunctionDef, module_system: Optional[str]) -> Optional[st
     return module_system
 
 
-def _param_seed(ctx: _ModuleCtx, fn_name: str, arg: ast.arg) -> AbsVal:
-    seeded = PARAM_SEEDS.get((ctx.basename, fn_name, arg.arg))
-    if seeded is not None:
-        return seeded
+def _param_seed(arg: ast.arg) -> AbsVal:
     classes = tuple(
         n for n in _annotation_names(arg.annotation) if n in PROFILE_SEEDS
     )
@@ -538,7 +493,7 @@ def _param_seed(ctx: _ModuleCtx, fn_name: str, arg: ast.arg) -> AbsVal:
 # the interpreter
 # ---------------------------------------------------------------------------
 
-_SAT_HELPERS = {"sat_add_u8", "sat_sub_u8", "sat_add_i16", "clip_i16", "floor_i16"}
+_SAT_HELPERS = {"sat_add_u8", "sat_sub_u8", "sat_add_i16", "clip_i16"}
 
 _MAX_LOOP_ITER = 10
 _WIDEN_AFTER = 4
@@ -1148,13 +1103,6 @@ class _Interp:
         # 2. cross-module kernel helpers with verified behaviour
         if tail == "max_i16":
             return _max_iv(arg_val(0), arg_val(1))
-        if tail in ("lane_rightshift", "shfl_up", "stripe_array"):
-            fill = self.eval(kwargs["fill"]) if "fill" in kwargs else arg_val(
-                2 if tail != "lane_rightshift" else 1
-            )
-            return replace(
-                join(arg_val(0), fill), native=None, tagged=None
-            )
         if tail in ("warp_max_shuffle", "warp_max_shared"):
             return replace(arg_val(0), native=None, tagged=None)
         if tail == "conflict_free_lane_stride":
@@ -1250,19 +1198,10 @@ class _Interp:
             out = mk(0, 255)
         elif tail == "sat_add_i16":
             out = mk(-32768, 32767)
-        elif tail == "clip_i16":
+        else:  # clip_i16
             out = _clip_iv(a, -32768.0, 32767.0)
             if out.is_bottom:
                 out = mk(-32768, 32767)
-        else:  # floor_i16: clamp below, then narrow to int32
-            out = (
-                mk(max(a.lo, -32768.0), max(a.hi, -32768.0))
-                if not a.is_bottom
-                else mk(-32768, 32767)
-            )
-            status = "proven" if out.in_range("i32") else "unproven"
-            if status == "unproven":
-                out = mk(-32768.0, DTYPE_RANGES["i32"][1])
         self._site(node.lineno, "helper", _short(node), out, "by_helper")
         return out
 
@@ -1428,8 +1367,7 @@ class _Interp:
             out = operand if ok and operand.kind == "num" else AbsVal(*DTYPE_RANGES["i32"])
             return replace(out, kind="num", native=None, tagged=operand.tagged)
         # i64: effectively unbounded for our value ranges.  The widened
-        # copy is a fresh scratch array (sentinel domains store values
-        # like the prefix-scan _FLOOR); obligations re-arise when the
+        # copy is a fresh scratch array; obligations re-arise when the
         # result narrows back into a tagged carrier.
         if operand.kind == "num":
             return replace(operand, native=None, tagged=None)
@@ -1567,13 +1505,11 @@ def analyze_module(tree: ast.Module, path: str) -> ModuleProof:
     """Interval-analyze every top-level function and method of *path*."""
     norm = path.replace("\\", "/")
     system = _MODULE_SYSTEMS.get(norm)
-    basename = norm.rsplit("/", 1)[-1]
     ctx = _ModuleCtx(
         path=norm,
         system=system,
         functions={fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)},
         module_env={},
-        basename=basename,
     )
     ctx.module_env = _module_env(tree, ctx)
     proof = ModuleProof(path=norm)
@@ -1583,7 +1519,7 @@ def analyze_module(tree: ast.Module, path: str) -> ModuleProof:
             if arg.arg in ("self", "cls"):
                 seeds[arg.arg] = TOP
             else:
-                seeds[arg.arg] = _param_seed(ctx, fn.name, arg)
+                seeds[arg.arg] = _param_seed(arg)
         interp = _Interp(ctx, fn, seeds)
         interp.run()
         fproof = FunctionProof(name=fn.name)

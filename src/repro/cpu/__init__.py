@@ -1,4 +1,4 @@
-"""CPU engines: golden references, striped SSE baselines, float generics."""
+"""CPU engines: golden references, batched lockstep scorers, float generics."""
 
 from .forward_batch import forward_score_batch
 from .generic import (
@@ -16,43 +16,19 @@ from .traceback import (
     ViterbiAlignment,
     viterbi_traceback,
 )
-from .msv_striped import (
-    SSE_BYTE_LANES,
-    msv_score_sequence_striped,
-    msv_striped_profile,
-)
 from .results import FilterScores
-from .streaming import chunk_indices, score_in_chunks
-from .striped import (
-    lane_rightshift,
-    stripe_array,
-    stripe_count,
-    stripe_positions,
-    unstripe_array,
-)
 from .viterbi_reference import (
     exact_d_chain,
     viterbi_score_batch,
     viterbi_score_sequence,
-)
-from .viterbi_striped import (
-    SSE_WORD_LANES,
-    StripedViterbiProfile,
-    viterbi_score_sequence_striped,
 )
 
 __all__ = [
     "FilterScores",
     "msv_score_sequence",
     "msv_score_batch",
-    "msv_score_sequence_striped",
-    "msv_striped_profile",
-    "SSE_BYTE_LANES",
     "viterbi_score_sequence",
     "viterbi_score_batch",
-    "viterbi_score_sequence_striped",
-    "StripedViterbiProfile",
-    "SSE_WORD_LANES",
     "exact_d_chain",
     "GenericProfile",
     "generic_viterbi_score",
@@ -67,11 +43,4 @@ __all__ = [
     "DomainAlignment",
     "PathStep",
     "align_to_profile",
-    "score_in_chunks",
-    "chunk_indices",
-    "stripe_count",
-    "stripe_positions",
-    "stripe_array",
-    "unstripe_array",
-    "lane_rightshift",
 ]

@@ -1,7 +1,7 @@
 """Reference MSV filter: the golden quantized semantics, linear layout.
 
 This is the executable specification of the MSV byte DP that every other
-engine (striped SSE baseline, simulated warp kernel) must match
+engine (batched lockstep pass, simulated warp kernels) must match
 bit-for-bit.  The recurrence per target residue ``x_i`` is::
 
     mpv[j]  = previous row's M value at node j-1   (j = 0 -> byte 0)

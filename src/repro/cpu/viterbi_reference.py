@@ -30,8 +30,8 @@ The D within-row chain is computed *exactly* with a max-plus prefix scan
 (see :func:`exact_d_chain`): because every D->D step cost is
 non-positive, the scan followed by flooring at -32768 is provably
 identical to the serial saturating recurrence - the property that lets
-the striped Lazy-F and the warp-parallel Lazy-F terminate early without
-changing any score.  The scan's carrier ``c[j] = sum_{t<j} tdd[t]`` is
+HMMER's striped Lazy-F and the warp-parallel Lazy-F terminate early
+without changing any score.  The scan's carrier ``c[j] = sum_{t<j} tdd[t]`` is
 int64: it falls by up to 32768 per node, so an int32 carrier would wrap
 once ``M >= 65535``, while int64 holds ``32768 * M`` for any model that
 fits in memory.

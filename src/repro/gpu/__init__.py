@@ -5,15 +5,7 @@ from .device import FERMI_GTX580, KEPLER_K40, DeviceSpec
 from .multi_gpu import MultiGpuRun, run_multi_gpu
 from .occupancy import KernelResources, Occupancy, best_occupancy, occupancy
 from .shared_memory import transactions_for_access
-from .warp import (
-    WARP_SIZE,
-    lane_ids,
-    shfl_down,
-    shfl_up,
-    shfl_xor,
-    vote_all,
-    vote_any,
-)
+from .warp import WARP_SIZE, shfl_xor
 
 __all__ = [
     "DeviceSpec",
@@ -28,10 +20,5 @@ __all__ = [
     "best_occupancy",
     "transactions_for_access",
     "WARP_SIZE",
-    "lane_ids",
     "shfl_xor",
-    "shfl_up",
-    "shfl_down",
-    "vote_all",
-    "vote_any",
 ]

@@ -3,13 +3,10 @@
 A warp is modelled as the trailing axis of length 32 of a NumPy array, so
 ``(n_warps, 32)`` states execute in lockstep - precisely the property the
 paper's warp-synchronous kernels rely on ("every 32 threads within a
-thread-warp are always executed synchronously", Section III.A).  The
-primitives mirror the CUDA intrinsics the paper uses:
-
-* ``shfl_xor`` - butterfly exchange (``__shfl_xor``), Kepler compute 3.x;
-* ``shfl_up`` / ``shfl_down`` - neighbour exchange;
-* ``vote_all`` / ``vote_any`` - warp votes (``__all`` / ``__any``),
-  used by the parallel Lazy-F loop (paper Figure 7).
+thread-warp are always executed synchronously", Section III.A).
+``shfl_xor`` mirrors the butterfly exchange (``__shfl_xor``, Kepler
+compute 3.x) of the warp max-reduction; ``conflict_free_lane_stride``
+pads the lane-major rows of the cross-sequence batched kernels.
 """
 
 from __future__ import annotations
@@ -21,13 +18,8 @@ from ..errors import KernelError
 
 __all__ = [
     "WARP_SIZE",
-    "lane_ids",
     "conflict_free_lane_stride",
     "shfl_xor",
-    "shfl_up",
-    "shfl_down",
-    "vote_all",
-    "vote_any",
 ]
 
 
@@ -71,43 +63,3 @@ def shfl_xor(values: np.ndarray, lane_mask: int) -> np.ndarray:
     if not 0 <= lane_mask < WARP_SIZE:
         raise KernelError(f"lane_mask must be in 0..{WARP_SIZE - 1}")
     return arr[..., lane_ids() ^ lane_mask]
-
-
-def shfl_up(values: np.ndarray, delta: int, fill=None) -> np.ndarray:
-    """``__shfl_up``: lane ``z`` receives lane ``z - delta``.
-
-    Hardware leaves the low ``delta`` lanes unchanged; pass ``fill`` to
-    override them (convenient for boundary sentinels).
-    """
-    arr = _check_warp_axis(values)
-    if not 0 <= delta < WARP_SIZE:
-        raise KernelError(f"delta must be in 0..{WARP_SIZE - 1}")
-    out = arr.copy()
-    if delta:
-        out[..., delta:] = arr[..., :-delta]
-        if fill is not None:
-            out[..., :delta] = fill
-    return out
-
-
-def shfl_down(values: np.ndarray, delta: int, fill=None) -> np.ndarray:
-    """``__shfl_down``: lane ``z`` receives lane ``z + delta``."""
-    arr = _check_warp_axis(values)
-    if not 0 <= delta < WARP_SIZE:
-        raise KernelError(f"delta must be in 0..{WARP_SIZE - 1}")
-    out = arr.copy()
-    if delta:
-        out[..., :-delta] = arr[..., delta:]
-        if fill is not None:
-            out[..., -delta:] = fill
-    return out
-
-
-def vote_all(predicate: np.ndarray) -> np.ndarray:
-    """``__all``: True when every lane's predicate holds (per warp)."""
-    return _check_warp_axis(predicate).all(axis=-1)
-
-
-def vote_any(predicate: np.ndarray) -> np.ndarray:
-    """``__any``: True when any lane's predicate holds (per warp)."""
-    return _check_warp_axis(predicate).any(axis=-1)

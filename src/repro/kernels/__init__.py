@@ -17,7 +17,6 @@ from .memconfig import (
 )
 from .msv_warp import msv_warp_kernel
 from .naive_sync import SYNCS_PER_ROW, msv_multiwarp_sync_kernel
-from .prefix_scan import SCAN_STEPS, prefix_scan_d_chain
 from .reduction import SHUFFLE_STEPS, warp_max_shared, warp_max_shuffle
 from .viterbi_warp import viterbi_warp_kernel
 
@@ -28,8 +27,6 @@ __all__ = [
     "viterbi_warp_kernel",
     "msv_multiwarp_sync_kernel",
     "parallel_lazy_f",
-    "prefix_scan_d_chain",
-    "SCAN_STEPS",
     "warp_max_shuffle",
     "warp_max_shared",
     "SHUFFLE_STEPS",

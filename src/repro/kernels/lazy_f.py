@@ -37,7 +37,7 @@ from ..errors import KernelError
 from ..gpu.counters import KernelCounters
 from ..scoring.quantized import sat_add_i16
 
-__all__ = ["parallel_lazy_f", "lazy_f_tally", "lazy_f_lanes", "charge_lazy_f"]
+__all__ = ["parallel_lazy_f", "lazy_f_lanes", "charge_lazy_f"]
 
 _LANES_1 = np.arange(1, WARP_SIZE + 1, dtype=np.int8)  # lane + 1
 
@@ -125,21 +125,6 @@ def _window_runs(Dv: np.ndarray, starts: np.ndarray) -> np.ndarray:
     np.greater(Dv, starts, out=improved.reshape(n, -1)[:, 1:M])
     last = np.maximum.accumulate(_LANES_1 * ~improved, axis=1)
     return (_LANES_1 - last).max(axis=1)
-
-
-def lazy_f_tally(
-    Mv: np.ndarray,
-    Dv: np.ndarray,
-    tmd: np.ndarray,
-    counters: KernelCounters,
-) -> None:
-    """Charge :func:`parallel_lazy_f`'s votes for one row of a batch,
-    the sum of :func:`lazy_f_lanes` over its lanes."""
-    M = Mv.shape[1]
-    if M >= 2:  # no Delete states: the Dmax check skips every row
-        entered, extra = lazy_f_lanes(Mv, Dv, tmd)
-        charge_lazy_f(counters, int(entered.sum()), -(-M // WARP_SIZE),
-                      int(extra.sum()))
 
 
 def lazy_f_lanes(

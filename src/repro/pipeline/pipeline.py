@@ -4,7 +4,7 @@
 between stages (HMMER 3.0 defaults: 0.02, 1e-3, 1e-5).  The two
 accelerated stages dispatch through the engine registry
 (:mod:`repro.engines`): ``cpu_sse`` (the vectorized golden reference,
-bit-identical to the striped SSE simulation), ``gpu_warp`` (the paper's
+with HMMER's SSE filter semantics), ``gpu_warp`` (the paper's
 warp-synchronous kernels), ``gpu_warp_batched`` (cross-sequence batched
 kernels) and ``mp`` (process pool), selectable per stage via
 ``SearchOptions.engine``.

@@ -3,7 +3,7 @@
 The accuracy claim of the paper ("preserving the sensitivity and accuracy
 of HMMER 3.0") rests on the GPU kernels computing *exactly* the same
 quantized scores as the CPU filters.  We make that property testable by
-construction: the scalar reference, the striped SSE baseline and the
+construction: the scalar reference, the batched lockstep scorers and the
 simulated warp kernels all call these helpers, so any divergence is a bug
 in an engine, never a rounding discrepancy.
 
@@ -27,7 +27,6 @@ __all__ = [
     "sat_sub_u8",
     "sat_add_i16",
     "max_i16",
-    "floor_i16",
     "clip_i16",
     "U8_ZERO",
     "I16_NEG_INF",
@@ -93,14 +92,3 @@ def clip_i16(a, out=None):
     third of the passes over the lane-major state rows.
     """
     return np.clip(a, VF_WORD_MIN, VF_WORD_MAX, out=out)
-
-
-def floor_i16(a):
-    """Clamp from below to the i16 minus-infinity floor, then narrow.
-
-    For wide accumulators (e.g. the int64 prefix-scan carries, whose
-    padding sentinel sits far below -32768): the clamp happens in the
-    input's own dtype *before* narrowing to the int32 carrier, so
-    sentinel values land exactly on ``VF_WORD_MIN`` instead of wrapping.
-    """
-    return np.maximum(np.asarray(a), VF_WORD_MIN).astype(np.int32)

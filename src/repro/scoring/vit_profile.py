@@ -6,9 +6,9 @@ serves as minus infinity and +32767 as the overflow sentinel.  Unlike the
 MSV system there is no bias trick: emission and transition scores are
 stored signed and added with saturating word arithmetic.
 
-To keep the three Viterbi engines (scalar reference, striped SSE with
-serial Lazy-F, warp-synchronous GPU with parallel Lazy-F) trivially
-consistent, this profile precomputes *enter* arrays indexed by the
+To keep the Viterbi engines (scalar reference, batched lockstep pass,
+warp-synchronous GPU with parallel Lazy-F) trivially consistent, this
+profile precomputes *enter* arrays indexed by the
 destination node ``j`` (0-based): ``enter_mm[j]`` is the cost of reaching
 ``M_j`` from ``M_{j-1}``, with ``enter_*[0] = -inf`` since node 0 has no
 predecessor.  NN/CC/JJ loops cost 0 in the filter and are restored by the

@@ -1,16 +1,11 @@
-"""MSV engines: reference semantics, striped equivalence, batch lockstep."""
+"""MSV engines: reference semantics, batch lockstep."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import (
-    msv_score_batch,
-    msv_score_sequence,
-    msv_score_sequence_striped,
-    msv_striped_profile,
-)
+from repro.cpu import msv_score_batch, msv_score_sequence
 from repro.constants import MSV_BYTE_MAX
 from repro.cpu import results as cpu_results
 from repro.errors import KernelError
@@ -76,47 +71,6 @@ class TestReference:
         s_short = msv_score_sequence(small_byte_profile, short.astype(np.uint8))
         s_long = msv_score_sequence(small_byte_profile, long.astype(np.uint8))
         assert s_long <= s_short + 2.0
-
-
-class TestStripedEquivalence:
-    @pytest.mark.parametrize("M", [1, 7, 16, 17, 33, 64, 100])
-    def test_bit_identical_across_sizes(self, M, rng):
-        prof = _profile(M, seed=M)
-        for _ in range(4):
-            codes = random_sequence_codes(int(rng.integers(4, 150)), rng)
-            assert msv_score_sequence(prof, codes) == msv_score_sequence_striped(
-                prof, codes
-            )
-
-    @pytest.mark.parametrize("lanes", [4, 8, 16, 32])
-    def test_any_lane_count(self, lanes, rng):
-        prof = _profile(29)
-        codes = random_sequence_codes(70, rng)
-        assert msv_score_sequence(prof, codes) == msv_score_sequence_striped(
-            prof, codes, lanes=lanes
-        )
-
-    def test_overflow_agrees(self, rng):
-        hmm = sample_hmm(50, rng, conservation=80.0)
-        prof = MSVByteProfile.from_profile(SearchProfile(hmm, L=500))
-        codes = np.concatenate(
-            [hmm.sample_sequence(rng) for _ in range(10)]
-        ).astype(np.uint8)
-        assert msv_score_sequence(prof, codes) == msv_score_sequence_striped(
-            prof, codes
-        )
-
-    def test_prestriped_profile_reuse(self, rng):
-        prof = _profile(20)
-        striped = msv_striped_profile(prof)
-        codes = random_sequence_codes(40, rng)
-        assert msv_score_sequence_striped(
-            prof, codes, striped_rbv=striped
-        ) == msv_score_sequence(prof, codes)
-
-    def test_striped_profile_validation(self):
-        with pytest.raises(KernelError):
-            msv_striped_profile(_profile(10), lanes=1)
 
 
 class TestBatch:
@@ -273,17 +227,3 @@ class TestLockstepBatch:
         seqs = [DigitalSequence(f"s{k}", random_sequence_codes(int(L), gen))
                 for k, L in enumerate(gen.integers(1, 50, size=11))]
         _assert_batch_matches_spec(prof, seqs)
-
-
-@given(
-    M=st.integers(min_value=1, max_value=60),
-    length=st.integers(min_value=1, max_value=80),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=40, deadline=None)
-def test_striped_equals_reference_property(M, length, seed):
-    """Farrar striping is score-preserving for any model/sequence shape."""
-    gen = np.random.default_rng(seed)
-    prof = _profile(M, seed=seed % 1000)
-    codes = random_sequence_codes(length, gen)
-    assert msv_score_sequence(prof, codes) == msv_score_sequence_striped(prof, codes)

@@ -1,4 +1,4 @@
-"""ViterbiFilter engines: reference semantics, Lazy-F equivalence, batch."""
+"""ViterbiFilter engines: reference semantics, exact Delete chain, batch."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import VF_WORD_MAX, VF_WORD_MIN
-from repro.cpu import (
-    exact_d_chain,
-    viterbi_score_batch,
-    viterbi_score_sequence,
-    viterbi_score_sequence_striped,
-)
-from repro.cpu.viterbi_striped import StripedViterbiProfile
+from repro.cpu import exact_d_chain, viterbi_score_batch, viterbi_score_sequence
 from repro.errors import KernelError
 from repro.hmm import SearchProfile, sample_hmm
 from repro.scoring import ViterbiWordProfile
@@ -117,43 +111,6 @@ class TestReference:
         v = viterbi_score_sequence(small_word_profile, dom)
         if np.isfinite(m) and np.isfinite(v):
             assert v >= m - 3.0
-
-
-class TestStripedEquivalence:
-    @pytest.mark.parametrize("M", [1, 5, 8, 9, 16, 33, 64])
-    def test_bit_identical_across_sizes(self, M, rng):
-        prof = _profile(M, seed=M)
-        for _ in range(3):
-            codes = random_sequence_codes(int(rng.integers(4, 120)), rng)
-            assert viterbi_score_sequence(
-                prof, codes
-            ) == viterbi_score_sequence_striped(prof, codes)
-
-    @pytest.mark.parametrize("lanes", [4, 8, 16])
-    def test_any_lane_count(self, lanes, rng):
-        prof = _profile(21)
-        codes = random_sequence_codes(60, rng)
-        assert viterbi_score_sequence(prof, codes) == viterbi_score_sequence_striped(
-            prof, codes, lanes=lanes
-        )
-
-    def test_prestriped_profile(self, rng):
-        prof = _profile(30)
-        sp = StripedViterbiProfile.from_profile(prof)
-        codes = random_sequence_codes(50, rng)
-        assert viterbi_score_sequence_striped(sp, codes) == viterbi_score_sequence(
-            prof, codes
-        )
-
-    def test_homolog_equivalence(self, rng):
-        """The D-D paths of real alignments exercise Lazy-F passes."""
-        hmm = sample_hmm(45, rng)
-        prof = ViterbiWordProfile.from_profile(SearchProfile(hmm, L=100))
-        for _ in range(5):
-            dom = hmm.sample_sequence(rng)
-            assert viterbi_score_sequence(
-                prof, dom
-            ) == viterbi_score_sequence_striped(prof, dom)
 
 
 class TestBatch:
@@ -317,19 +274,3 @@ class TestFusedBatch:
         seq = DigitalSequence("two", np.array([3, 7], dtype=np.uint8))
         got = _assert_batch_matches_spec(prof, [seq])
         assert np.isfinite(got.scores[0])
-
-
-@given(
-    M=st.integers(min_value=1, max_value=40),
-    length=st.integers(min_value=1, max_value=60),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=25, deadline=None)
-def test_striped_equals_reference_property(M, length, seed):
-    """Serial Lazy-F is score-preserving for any model/sequence shape."""
-    gen = np.random.default_rng(seed)
-    prof = _profile(M, seed=seed % 1000)
-    codes = random_sequence_codes(length, gen)
-    assert viterbi_score_sequence(prof, codes) == viterbi_score_sequence_striped(
-        prof, codes
-    )

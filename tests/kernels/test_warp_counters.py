@@ -31,7 +31,7 @@ from repro.kernels import (
     parallel_lazy_f,
     viterbi_warp_kernel,
 )
-from repro.kernels.lazy_f import lazy_f_tally
+from repro.kernels.lazy_f import charge_lazy_f, lazy_f_lanes
 from repro.scoring import MSVByteProfile, ViterbiWordProfile
 from repro.sequence import random_sequence_codes
 from repro.sequence.database import PaddedBatch
@@ -150,7 +150,7 @@ def test_sync_baseline_charges_per_live_block_row(M):
     homolog=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_lazy_f_tally_equals_parallel_lazy_f(M, seed, homolog):
+def test_lazy_f_lanes_charge_equals_parallel_lazy_f(M, seed, homolog):
     """The closed-form tally charges exactly the votes and passes that
     ``parallel_lazy_f`` casts on the per-sequence spec's rows, where the
     kernel calls it: on the rows whose Dmax check finds a finite M->D
@@ -172,7 +172,10 @@ def test_lazy_f_tally_equals_parallel_lazy_f(M, seed, homolog):
         if starts.max() > VF_WORD_MIN:
             resolved = parallel_lazy_f(starts[None, :].copy(), tdd_enter, spec)
             assert np.array_equal(resolved[0], Dp)
-        lazy_f_tally(Mp[None, :], Dp[None, 1:], prof.tmd, tally)
+        if M >= 2:  # no Delete states: the Dmax check skips every row
+            entered, extra = lazy_f_lanes(Mp[None, :], Dp[None, 1:], prof.tmd)
+            charge_lazy_f(tally, int(entered.sum()), -(-M // WARP_SIZE),
+                          int(extra.sum()))
         xJ = max(xJ, int(xE) + prof.xE_loop)
         xB = max(prof.base + prof.xNJ_move, xJ + prof.xNJ_move)
     assert tally.as_dict() == spec.as_dict()
