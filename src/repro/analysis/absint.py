@@ -36,8 +36,8 @@ Documented assumptions (see docs/static_analysis.md):
 * ``np.empty`` carriers are written before they are read (they are
   tagged with the empty interval); wide ``np.empty`` scratch is not a
   system carrier until written;
-* cross-module helper summaries (``max_i16``, the warp max reductions)
-  match the helpers' own verified behaviour;
+* cross-module helper summaries (the warp max reductions) match the
+  helpers' own verified behaviour;
 * inlined intra-module callees are additionally analyzed standalone,
   their unannotated parameters seeded with the top interval.
 """
@@ -110,6 +110,7 @@ _SYSTEM_OF_PROFILE = {
     "MSVByteProfile": "u8",
     "ViterbiWordProfile": "i16",
     "PackedWordProfile": "i16",
+    "PackedByteProfile": "u8",
 }
 
 #: Quantization constants resolvable by (final) name.
@@ -313,6 +314,20 @@ PROFILE_SEEDS: Dict[str, Dict[str, AbsVal]] = {
         "overflow_threshold": mk(32767, 32767),
         "init_xB": mk(-20768, 12000),
     },
+    # a launch group's byte profiles padded to its largest M: every pad
+    # cost is 255, inside the one-model range, and every scalar is one
+    # (G,) entry per model
+    "PackedByteProfile": {
+        "M": mk(1, INF),
+        "rbv": mk(**_U8),
+        "tbm": mk(**_U8),
+        "tec": mk(**_U8),
+        "tjb": mk(**_U8),
+        "bias": mk(**_U8),
+        "base": mk(190, 190),
+        "overflow_threshold": mk(**_U8),
+        "init_xB": mk(**_U8),
+    },
 }
 
 
@@ -419,7 +434,11 @@ def _short(node: ast.AST) -> str:
 Origin = Tuple[object, ...]
 
 
-def _origin(node: ast.AST, env: Dict[str, Origin]) -> Optional[Origin]:
+def _origin(node: ast.AST, env: Dict[str, Origin],
+            names: bool = False) -> Optional[Origin]:
+    """Symbolic identity of an expression.  With ``names`` a local name
+    of unknown origin stands for itself: sound only while that name is
+    not rebound, which an order fact guarantees by dying with it."""
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
         return ("const", node.value)
     name = dotted_name(node)
@@ -428,15 +447,16 @@ def _origin(node: ast.AST, env: Dict[str, Origin]) -> Optional[Origin]:
         if tail in KNOWN_CONSTANTS:
             return ("const", KNOWN_CONSTANTS[tail])
         if isinstance(node, ast.Name):
-            return env.get(name)
+            return env.get(name, ("name", name) if names else None)
         return ("sym", name)
     if isinstance(node, ast.Call) and len(node.args) == 1:
         fn = dotted_name(node.func)
         if fn is not None and fn.split(".")[-1] in _CAST_NAMES:
-            return _origin(node.args[0], env)  # casts are origin-transparent
+            # casts are origin-transparent
+            return _origin(node.args[0], env, names)
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        left = _origin(node.left, env)
-        right = _origin(node.right, env)
+        left = _origin(node.left, env, names)
+        right = _origin(node.right, env, names)
         if left is not None and right is not None:
             op = "add" if isinstance(node.op, ast.Add) else "sub"
             return (op, left, right)
@@ -563,8 +583,10 @@ class _Interp:
 
     def _bound_origin(self, node: ast.expr) -> Optional[Origin]:
         """Symbolic identity of an order bound or operand; an expression
-        that calls anything has none (two calls may differ)."""
-        origin = _origin(node, self.origins)
+        that calls anything has none (two calls may differ).  Every name
+        the bound reads kills the fact when rebound, so a name may stand
+        for itself here."""
+        origin = _origin(node, self.origins, names=True)
         if origin is not None:
             return origin
         if any(isinstance(sub, ast.Call) for sub in ast.walk(node)):
@@ -1101,8 +1123,6 @@ class _Interp:
             return self._helper_summary(node, tail, arg_val)
 
         # 2. cross-module kernel helpers with verified behaviour
-        if tail == "max_i16":
-            return _max_iv(arg_val(0), arg_val(1))
         if tail in ("warp_max_shuffle", "warp_max_shared"):
             return replace(arg_val(0), native=None, tagged=None)
         if tail == "conflict_free_lane_stride":

@@ -288,7 +288,7 @@ class OverflowDisciplineRule(Rule):
                     Finding(
                         self.id, path, node.lineno, "np.clip",
                         "np.clip with saturation bounds re-implements the "
-                        "guardrail; use sat_add_u8/sat_add_i16/max_i16 "
+                        "guardrail; use sat_add_u8/sat_add_i16/clip_i16 "
                         "from repro.scoring.quantized",
                     )
                 )

@@ -1,19 +1,20 @@
 """Model packing: one lockstep call over several profiles' lanes.
 
-A scan launch group's P7Viterbi and Forward stages score every model's
-survivors in one call (the CUDAMPF++ economy: many small models per
-launch).  The group's profiles are padded to its largest ``M`` and
-stacked along a leading model axis; each lane of the packed
+A scan launch group's MSV, P7Viterbi and Forward stages each score
+every model's lanes in one call (the CUDAMPF++ economy: many small
+models per launch).  The group's profiles are padded to its largest
+``M`` and stacked along a leading model axis; each lane of the packed
 :class:`~repro.sequence.database.PaddedBatch` names its model in
 ``models``, and the lockstep passes gather that model's rows per lane.
 
 Pad nodes can never enter a path: every cost into a pad node, and its
 emission, is the system's minus infinity (the -32768 word floor, or
 odds 0 in float), and the Delete chain is cut after each model's last
-node.  Every real cell therefore keeps its one-model value, and every
-pad cell stays at minus infinity, so ``xE``, the overflow test, the
-saturation tally and the Lazy-F votes see only the model's own nodes.
-The full argument is in ``docs/engines.md`` ("Model packing").
+node; a byte pad costs 255, which takes any byte to 0.  Every real cell
+therefore keeps its one-model value, and every pad cell stays at minus
+infinity, so ``xE``, the overflow test, the saturation tally and the
+Lazy-F votes see only the model's own nodes.  The full argument is in
+``docs/engines.md`` ("Model packing").
 
 A packed call's accumulators (guardrail and kernel counters) are
 sequences with one entry per model, in pack order, and each model is
@@ -26,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..constants import VF_WORD_MAX, VF_WORD_MIN
+from ..constants import MSV_BYTE_MAX, VF_WORD_MAX, VF_WORD_MIN
 from ..errors import KernelError
 from ..sequence.database import PaddedBatch
 
 __all__ = [
     "CHAIN_CUT",
+    "PackedByteProfile",
     "PackedWordProfile",
     "PackedGenericProfile",
     "pack_batch",
@@ -55,6 +57,11 @@ def _pad(rows, M: int, fill, dtype) -> np.ndarray:
         row = np.asarray(row)
         out[g, ..., : row.shape[-1]] = row
     return out
+
+
+def _scalars(profiles, name: str, dtype=np.int64) -> np.ndarray:
+    """``(G,)`` array of each profile's scalar ``name``."""
+    return np.array([getattr(p, name) for p in profiles], dtype=dtype)
 
 
 def _past_last(Ms: np.ndarray, M: int, offset: int = 0) -> np.ndarray:
@@ -84,6 +91,42 @@ class _Pack:
             if idx.size:
                 out.append((g, idx))
         return out
+
+
+@dataclass(frozen=True)
+class PackedByteProfile(_Pack):
+    """MSV byte profiles stacked for one packed lockstep call.
+
+    ``rbv`` is indexed like the one-model profile's ``(Kp, M)`` table,
+    model ``g``'s rows at ``g * kp``, with every pad cost 255; each
+    scalar is a ``(G,)`` array with one entry per model.  A pad cell is
+    byte 0 (minus infinity) after every row, because ``sat_sub(a, 255)
+    = 0`` for every byte ``a``, and node ``j`` reads only node ``j - 1``,
+    so no pad cell ever feeds a real node, ``xE`` or the overflow test.
+    """
+
+    rbv: np.ndarray = None                  # (G * kp, M)
+    tbm: np.ndarray = None                  # (G,), like every scalar below
+    tec: np.ndarray = None
+    tjb: np.ndarray = None
+    bias: np.ndarray = None
+    base: np.ndarray = None
+    overflow_threshold: np.ndarray = None
+    init_xB: np.ndarray = None
+
+    @classmethod
+    def pack(cls, profiles) -> "PackedByteProfile":
+        profiles = tuple(profiles)
+        Ms = np.array([p.M for p in profiles], dtype=np.int64)
+        M = int(Ms.max())
+        rbv = _pad([p.rbv for p in profiles], M, MSV_BYTE_MAX, np.int32)
+        scalars = ("tbm", "tec", "tjb", "bias", "base", "overflow_threshold",
+                   "init_xB")
+        return cls(
+            profiles=profiles, M=M, Ms=Ms, kp=int(rbv.shape[1]),
+            rbv=rbv.reshape(-1, M),
+            **{name: _scalars(profiles, name) for name in scalars},
+        )
 
 
 @dataclass(frozen=True)
@@ -127,7 +170,7 @@ class PackedWordProfile(_Pack):
             return _pad([getattr(p, name) for p in profiles], M, floor, i32)
 
         def scalars(name, dtype=np.int64):
-            return np.array([getattr(p, name) for p in profiles], dtype=dtype)
+            return _scalars(profiles, name, dtype)
 
         def cut(name):
             return np.where(_past_last(Ms, M), CHAIN_CUT,
@@ -198,8 +241,8 @@ class PackedGenericProfile(_Pack):
             enter_mm=table("enter_mm"), enter_im=table("enter_im"),
             enter_dm=table("enter_dm"), tmi=table("tmi"), tii=table("tii"),
             tmd=tmd, tdd=tdd,
-            **{name: np.array([getattr(p, name) for p in profiles],
-                              dtype=np.float64) for name in specials},
+            **{name: _scalars(profiles, name, np.float64)
+               for name in specials},
         )
 
 

@@ -61,7 +61,7 @@ from ..alphabet.packing import packed_stream_bytes
 from ..analysis.sanitizer import resolve_sanitizer
 from ..constants import WARP_SIZE
 from ..cpu.msv_reference import msv_lockstep
-from ..cpu.packing import PackedWordProfile, is_packed, per_model
+from ..cpu.packing import PackedByteProfile, PackedWordProfile, is_packed, per_model
 from ..cpu.results import FilterScores, live_counts
 from ..cpu.viterbi_reference import viterbi_lockstep
 from ..errors import KernelError
@@ -317,7 +317,7 @@ def _run(lockstep, profile, database, config, counters, sanitize,
 
 
 def msv_batched_kernel(
-    profile: MSVByteProfile,
+    profile: MSVByteProfile | PackedByteProfile,
     database: SequenceDatabase | PaddedBatch,
     config: MemoryConfig = MemoryConfig.SHARED,
     device: DeviceSpec = KEPLER_K40,
@@ -331,6 +331,8 @@ def msv_batched_kernel(
     (and therefore to per-sequence scoring): both run
     :func:`~repro.cpu.msv_reference.msv_lockstep`, whose u8 state is
     carried natively with the clamp-before-add saturation identities.
+    A packed call (:mod:`repro.cpu.packing`) takes one ``counters``
+    entry per model and charges each the launch of its own lanes.
     """
     def layout(prof):
         # one u8 row per lane; cell 0 is the byte-0 minus infinity

@@ -37,6 +37,7 @@ import numpy as np
 from ..analysis.sanitizer import resolve_sanitizer
 from ..constants import WARP_SIZE
 from ..cpu.msv_reference import msv_lockstep
+from ..cpu.packing import PackedByteProfile, per_model
 from ..cpu.results import FilterScores
 from ..gpu.counters import KernelCounters
 from ..gpu.device import KEPLER_K40, DeviceSpec
@@ -111,7 +112,7 @@ def reduction_input(neutral: int) -> np.ndarray:
 
 
 def msv_warp_kernel(
-    profile: MSVByteProfile,
+    profile: MSVByteProfile | PackedByteProfile,
     database: SequenceDatabase | PaddedBatch,
     config: MemoryConfig = MemoryConfig.SHARED,
     device: DeviceSpec = KEPLER_K40,
@@ -143,31 +144,43 @@ def msv_warp_kernel(
         defers to the ``REPRO_SANITIZE`` environment variable.  The
         resulting :class:`~repro.analysis.sanitizer.SanitizerReport` is
         attached to ``counters.sanitizer``.
+
+    A packed call (:mod:`repro.cpu.packing`) takes one ``counters``
+    entry per model and charges each the warps of its own lanes, with
+    its own sanitizer.
     """
-    san = resolve_sanitizer(sanitize)
-    result, _, rows_run = lockstep_launch(
+    result, batch, rows_run = lockstep_launch(
         msv_lockstep, profile, database, counters, packed_residues
     )
-    M = profile.M
-    if counters is not None:
-        charge_sweep(counters, int(rows_run.sum()), M, config, device,
-                     matrices=1, fetches=1, fetch_bytes=1, reductions=1)
-    if san is not None:
-        # the MSV row is one byte per cell (u8 scores): cell j lives at
-        # shared-memory byte j, cell 0 the permanent minus infinity
-        strips = strip_bounds(M)
-        script = [(san.shared_load, range(*strips[0]), "msv:dep-load:strip0",
-                   True)]
-        for s, (p0, p1) in enumerate(strips):
-            if s + 1 < len(strips):
-                # the next strip's dependencies, loaded before this
-                # strip's store overwrites cell p1 (Figure 5)
-                q0, q1 = strips[s + 1]
-                script.append((san.shared_load, range(q0, q1),
-                               f"msv:dep-load:strip{s + 1}", True))
-            script.append((san.shared_store, range(p0 + 1, p1 + 1),
-                           f"msv:store:strip{s}"))
-        script.append((san.check_reduction, reduction_input(0),
-                       min(M, WARP_SIZE), 0, "msv:xE-reduce"))
-        replay_sweep(san, counters, "msv", rows_run, script)
+    for prof, lanes, c in per_model(profile, batch, counters):
+        if c is not None:
+            charge_sweep(c, int(rows_run[lanes].sum()), prof.M, config,
+                         device, matrices=1, fetches=1, fetch_bytes=1,
+                         reductions=1)
+        san = resolve_sanitizer(sanitize)
+        if san is not None:
+            replay_sweep(san, c, "msv", rows_run[lanes], _script(san, prof.M))
     return result
+
+
+def _script(san, M: int) -> list:
+    """One row's shared-memory access stream for the sanitizer.
+
+    The MSV row is one byte per cell (u8 scores): cell j lives at
+    shared-memory byte j, cell 0 the permanent minus infinity.
+    """
+    strips = strip_bounds(M)
+    script = [(san.shared_load, range(*strips[0]), "msv:dep-load:strip0",
+               True)]
+    for s, (p0, p1) in enumerate(strips):
+        if s + 1 < len(strips):
+            # the next strip's dependencies, loaded before this strip's
+            # store overwrites cell p1 (Figure 5)
+            q0, q1 = strips[s + 1]
+            script.append((san.shared_load, range(q0, q1),
+                           f"msv:dep-load:strip{s + 1}", True))
+        script.append((san.shared_store, range(p0 + 1, p1 + 1),
+                       f"msv:store:strip{s}"))
+    script.append((san.check_reduction, reduction_input(0),
+                   min(M, WARP_SIZE), 0, "msv:xE-reduce"))
+    return script

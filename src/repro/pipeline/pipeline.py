@@ -32,7 +32,7 @@ import numpy as np
 from ..cpu.forward_batch import forward_score_batch
 from ..cpu.generic import GenericProfile, generic_forward_score
 from ..cpu.msv_reference import msv_score_sequence
-from ..cpu.packing import PackedGenericProfile, PackedWordProfile, pack_batch
+from ..cpu.packing import PackedByteProfile, PackedGenericProfile, PackedWordProfile, pack_batch
 from ..cpu.viterbi_reference import viterbi_score_sequence
 from ..errors import DivergenceError, PipelineError
 from ..gpu.counters import KernelCounters
@@ -263,8 +263,9 @@ def _survivor_call(database, base, survivors, profiles, packer, accs):
 
     ``survivors[g]`` are model ``g``'s surviving database indices.  The
     models with survivors are scored together: one model alone is an
-    ordinary call on its database subset with its own profile and
-    accumulators; several are one packed call (:mod:`repro.cpu.packing`)
+    ordinary call on its database subset (the database itself when
+    every sequence survives) with its own profile and accumulators;
+    several are one packed call (:mod:`repro.cpu.packing`)
     on a model-major lane batch, with per-model accumulator lists.
     Returns ``(models, profile, batch, accs, lane slices)``, or None
     when no model has survivors.  ``base()`` gives the database's
@@ -277,8 +278,9 @@ def _survivor_call(database, base, survivors, profiles, packer, accs):
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     if len(models) == 1:
         g = models[0]
-        return (models, profiles[g], database.subset(survivors[g].tolist()),
-                [a[g] for a in accs], slices)
+        sub = (database if survivors[g].size == len(database)
+               else database.subset(survivors[g].tolist()))
+        return models, profiles[g], sub, [a[g] for a in accs], slices
     batch = pack_batch(base(), [survivors[g] for g in models])
     packed_accs = [None if a[models[0]] is None else [a[g] for g in models]
                    for a in accs]
@@ -296,8 +298,8 @@ def search_group(
     """Run several models' three-stage pipelines over one database.
 
     The scan service runs one call per launch group.  MSV is one engine
-    call per model; P7Viterbi is one engine call over every model's MSV
-    survivors and Forward one call over every model's P7Viterbi
+    call over every (model, sequence) lane, P7Viterbi one over every
+    model's MSV survivors and Forward one over every model's P7Viterbi
     survivors, packed (:mod:`repro.cpu.packing`) so that a stage keeps
     many DP problems in flight per call.  Everything per model - scores,
     P-values, thresholds, hits, :class:`StageStats`, guardrail and
@@ -329,6 +331,25 @@ def search_group(
     def guards():
         return [GuardrailCounters() if opts.guard else None for _ in pipes]
 
+    def filter_stage(stage, survivors, profiles, packer, guard):
+        """One filter stage's call over every model's survivors; returns
+        ``{model: scores (nats)}`` of the models with survivors."""
+        out = {}
+        call = _survivor_call(database, base, survivors, profiles, packer,
+                              (counters, guard))
+        if call is None:
+            return out
+        models, profile, sub, (c, gd), slices = call
+        scores = _score_filter(stage, profile, sub, opts, c, executor, gd,
+                               max(Ms[g] for g in models))
+        for g, lanes in zip(models, slices):
+            out[g] = scores.scores[lanes]
+            if guard[g] is not None:
+                guard[g].overflows += int(
+                    np.count_nonzero(scores.overflowed[lanes]))
+                guard[g].underflows += int(np.count_nonzero(np.isneginf(out[g])))
+        return out
+
     def close_stage(st_span, name, n_in, n_out, rows, guard):
         for g in range(G):
             stages[g].append(StageStats(
@@ -352,25 +373,19 @@ def search_group(
             search_span.count(targets=n * G,
                               residues=database.total_residues * G)
 
-        # ---- stage 1: MSV filter over everything, one call per model ----
+        # ---- stage 1: MSV filter over every (model, sequence) lane ----
         guard1 = guards()
-        msv_nats, msv_bits, msv_p, pass1 = [], [], [], []
         with span(tracer, "msv", "stage", stage="msv") as st_span:
-            for g, pipe in enumerate(pipes):
-                scores = _score_filter(
-                    "msv", pipe.byte_profile, database, opts, counters[g],
-                    executor, guard1[g], Ms[g],
-                )
-                if guard1[g] is not None:
-                    guard1[g].overflows += int(
-                        np.count_nonzero(scores.overflowed)
-                    )
-                bits = np.asarray(bits_from_nats(scores.scores, null_len[g]))
-                p = pipe.calibration.msv.pvalue(bits)
-                msv_nats.append(scores.scores)
-                msv_bits.append(bits)
-                msv_p.append(p)
-                pass1.append(np.flatnonzero(p < ths[g].f1))
+            msv = filter_stage(
+                "msv", [np.arange(n)] * G, [p.byte_profile for p in pipes],
+                PackedByteProfile.pack, guard1,
+            )
+            msv_nats = [msv[g] for g in range(G)]
+            msv_bits = [np.asarray(bits_from_nats(x, nl))
+                        for x, nl in zip(msv_nats, null_len)]
+            msv_p = [pipe.calibration.msv.pvalue(b)
+                     for pipe, b in zip(pipes, msv_bits)]
+            pass1 = [np.flatnonzero(p < th.f1) for p, th in zip(msv_p, ths)]
             close_stage(st_span, "msv", [n] * G, [x.size for x in pass1],
                         [database.total_residues] * G, guard1)
 
@@ -381,33 +396,17 @@ def search_group(
         pass2 = [np.array([], dtype=np.int64) for _ in pipes]
         guard2 = guards()
         with span(tracer, "p7viterbi", "stage", stage="p7viterbi") as st_span:
-            call = _survivor_call(
-                database, base, pass1, [p.word_profile for p in pipes],
-                PackedWordProfile.pack, (counters, guard2),
+            vit = filter_stage(
+                "p7viterbi", pass1, [p.word_profile for p in pipes],
+                PackedWordProfile.pack, guard2,
             )
-            if call is not None:
-                models, profile, sub, (c2, g2), slices = call
-                scores = _score_filter(
-                    "p7viterbi", profile, sub, opts, c2, executor, g2,
-                    max(Ms[g] for g in models),
-                )
-                for g, lanes in zip(models, slices):
-                    got = scores.scores[lanes]
-                    if guard2[g] is not None:
-                        guard2[g].overflows += int(
-                            np.count_nonzero(scores.overflowed[lanes])
-                        )
-                        guard2[g].underflows += int(
-                            np.count_nonzero(np.isneginf(got))
-                        )
-                    vit_nats[g] = {
-                        int(i): float(v) for i, v in zip(pass1[g], got)
-                    }
-                    vb = np.asarray(bits_from_nats(got, null_len[g]))
-                    vit_bits[g][pass1[g]] = vb
-                    vp = pipes[g].calibration.vit.pvalue(vb)
-                    vit_p[g][pass1[g]] = vp
-                    pass2[g] = pass1[g][vp < ths[g].f2]
+            for g, got in vit.items():
+                vit_nats[g] = {int(i): float(v) for i, v in zip(pass1[g], got)}
+                vb = np.asarray(bits_from_nats(got, null_len[g]))
+                vit_bits[g][pass1[g]] = vb
+                vp = pipes[g].calibration.vit.pvalue(vb)
+                vit_p[g][pass1[g]] = vp
+                pass2[g] = pass1[g][vp < ths[g].f2]
             close_stage(
                 st_span, "p7viterbi", [x.size for x in pass1],
                 [x.size for x in pass2],

@@ -5,7 +5,6 @@ from .msv_profile import MSVByteProfile
 from .quantized import (
     I16_NEG_INF,
     U8_ZERO,
-    max_i16,
     sat_add_i16,
     sat_add_u8,
     sat_sub_u8,
@@ -19,7 +18,6 @@ __all__ = [
     "sat_add_u8",
     "sat_sub_u8",
     "sat_add_i16",
-    "max_i16",
     "U8_ZERO",
     "I16_NEG_INF",
 ]

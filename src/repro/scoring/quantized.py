@@ -26,7 +26,6 @@ __all__ = [
     "sat_add_u8",
     "sat_sub_u8",
     "sat_add_i16",
-    "max_i16",
     "clip_i16",
     "U8_ZERO",
     "I16_NEG_INF",
@@ -72,11 +71,6 @@ def sat_add_i16(a, b, guard=None):
             np.count_nonzero((r < VF_WORD_MIN) | (r > VF_WORD_MAX))
         )
     return np.clip(r, VF_WORD_MIN, VF_WORD_MAX)
-
-
-def max_i16(a, b):
-    """``_mm_max_epi16`` (no saturation involved, named for symmetry)."""
-    return np.maximum(np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32))
 
 
 def clip_i16(a, out=None):

@@ -198,6 +198,37 @@ class TestOutStores:
         proof = analyze_source("src/repro/cpu/msv_reference.py", src)
         assert len(proof.unproven) >= 1
 
+    _LANE_CLAMP = textwrap.dedent(
+        """
+        import numpy as np
+        from repro.constants import MSV_BYTE_MAX
+        from repro.scoring.msv_profile import MSVByteProfile
+
+        def step(profile: MSVByteProfile, lanes):
+            R = profile.rbv.astype(np.uint8)
+            sv = R[:, 1:]
+            per_lane = np.asarray(profile.bias).astype(np.uint8)[lanes]
+            bias = per_lane[:, None]
+            np.minimum(sv, MSV_BYTE_MAX - bias, out=sv)
+            np.add(sv, bias, out=sv)
+            return R
+        """
+    )
+
+    def test_clamp_against_a_local_name_proven(self):
+        """A per-lane bias view has no symbolic origin; it stands for
+        itself in the bound, so the identity still closes."""
+        proof = analyze_source("src/repro/cpu/msv_reference.py",
+                               self._LANE_CLAMP)
+        assert proof.unproven == []
+
+    def test_rebinding_the_bound_name_drops_the_fact(self):
+        src = self._LANE_CLAMP.replace(
+            "np.add(sv, bias, out=sv)",
+            "bias = per_lane[1:, None]\n    np.add(sv, bias, out=sv)")
+        proof = analyze_source("src/repro/cpu/msv_reference.py", src)
+        assert [s.detail for s in proof.unproven] == ["np.add(sv, bias, out=sv)"]
+
     def test_msv_reference_out_stores_are_proven_sites(self):
         relpath = "src/repro/cpu/msv_reference.py"
         assert relpath in PROVE_TARGETS

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.scoring.quantized import (
     I16_NEG_INF,
-    max_i16,
     sat_add_i16,
     sat_add_u8,
     sat_sub_u8,
@@ -72,10 +71,6 @@ class TestI16:
     def test_neg_inf_can_resurrect(self):
         """The documented SSE artifact: -32768 + positive lifts the floor."""
         assert sat_add_i16(I16_NEG_INF, 100) == -32668
-
-    def test_max(self):
-        assert max_i16(-5, 3) == 3
-        assert list(max_i16(np.array([1, -9]), np.array([-1, 9]))) == [1, 9]
 
     @given(a=i16, b=i16)
     @settings(max_examples=300, deadline=None)
